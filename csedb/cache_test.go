@@ -43,7 +43,7 @@ func TestCacheWarmRerun(t *testing.T) {
 	if len(warm.ExecStats.SpoolRuns) != 0 {
 		t.Errorf("warm run re-materialized spools: %v", warm.ExecStats.SpoolRuns)
 	}
-	if n := warm.SpoolRows; len(n) != 1 {
+	if n := warm.ExecStats.SpoolRows; len(n) != 1 {
 		t.Errorf("warm run spool rows = %v, want the one cached spool", n)
 	}
 	s := db.ResultCache().Stats()

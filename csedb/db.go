@@ -18,7 +18,6 @@ package csedb
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -28,9 +27,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/logical"
-	"repro/internal/memo"
 	"repro/internal/obs"
-	"repro/internal/opt"
 	"repro/internal/parser"
 	"repro/internal/sqltypes"
 	"repro/internal/storage"
@@ -43,12 +40,6 @@ type Options struct {
 	// CSE configures the covering-subexpression phase; the zero value means
 	// core.DefaultSettings() (CSE on, heuristics on).
 	CSE *core.Settings
-
-	// SearchStrategy, when non-empty, overrides the CSE settings' subset
-	// search strategy (core.SearchAuto, core.SearchLattice, or
-	// core.SearchGreedy) — a convenience for callers that take the default
-	// settings but want to pick the MQO search.
-	SearchStrategy core.SearchStrategy
 
 	// ExecParallelism sets the executor worker-pool size: 0 (the default)
 	// means parallel execution on with runtime.GOMAXPROCS(0) workers; 1
@@ -82,15 +73,6 @@ type Options struct {
 	// exportable in Chrome trace-event format. Off by default: the untraced
 	// path pays one nil check per span site.
 	SpanTracing bool
-
-	// FlightRecorderSize is the number of recent batch records the flight
-	// recorder retains; 0 means obs.DefaultFlightCapacity.
-	FlightRecorderSize int
-
-	// SlowBatchThreshold is the wall-time above which a batch is also kept
-	// in the flight recorder's slow-batch log; 0 means
-	// obs.DefaultSlowThreshold.
-	SlowBatchThreshold time.Duration
 
 	// DebugAddr, when non-empty, starts the debug HTTP server on that
 	// address at Open (e.g. "127.0.0.1:6060"; ":0" picks a free port). The
@@ -143,9 +125,6 @@ func Open(opts Options) *DB {
 	if opts.CSE != nil {
 		settings = *opts.CSE
 	}
-	if opts.SearchStrategy != "" {
-		settings.SearchStrategy = opts.SearchStrategy
-	}
 	db := &DB{
 		cat:         catalog.New(),
 		store:       storage.NewStore(),
@@ -157,7 +136,7 @@ func Open(opts Options) *DB {
 		tracing:     opts.Tracing,
 		spanTracing: opts.SpanTracing,
 		metrics:     obs.NewRegistry(),
-		flight:      obs.NewFlightRecorder(opts.FlightRecorderSize, opts.SlowBatchThreshold),
+		flight:      obs.NewFlightRecorder(obs.DefaultFlightCapacity, obs.DefaultSlowThreshold),
 	}
 	if opts.CacheBudget >= 0 {
 		db.cache = cache.New(opts.CacheBudget, db.metrics)
@@ -289,8 +268,10 @@ func (db *DB) Insert(table string, rows []Row) error {
 	if err != nil {
 		return err
 	}
-	if err := db.checkRows(ctab, rows); err != nil {
-		return err
+	for i, r := range rows {
+		if len(r) != len(ctab.Cols) {
+			return fmt.Errorf("row %d has %d values, table %s has %d columns", i, len(r), ctab.Name, len(ctab.Cols))
+		}
 	}
 	if err := db.store.Insert(table, rows); err != nil {
 		return err
@@ -302,15 +283,6 @@ func (db *DB) Insert(table string, rows []Row) error {
 		return err
 	}
 	storage.AnalyzeTable(ctab, stab)
-	return nil
-}
-
-func (db *DB) checkRows(ctab *catalog.Table, rows []Row) error {
-	for i, r := range rows {
-		if len(r) != len(ctab.Cols) {
-			return fmt.Errorf("row %d has %d values, table %s has %d columns", i, len(r), ctab.Name, len(ctab.Cols))
-		}
-	}
 	return nil
 }
 
@@ -329,17 +301,11 @@ type BatchResult struct {
 	// EstimatedCost is the chosen plan's cost in optimizer units.
 	EstimatedCost float64
 
-	// SpoolRows reports, per CSE id, the number of rows materialized into
-	// its work table; every CSE is computed exactly once per batch.
-	SpoolRows map[int]int
-
 	// ExecStats carries the executor's detailed instrumentation: per-spool
-	// wall time, per-statement time, the topological spool schedule, and
-	// worker utilization.
+	// rows (every CSE is computed exactly once per batch) and wall time,
+	// per-statement time, the topological spool schedule, and worker
+	// utilization.
 	ExecStats *exec.Stats
-
-	// Explain is the physical plan rendering.
-	Explain string
 
 	// Trace is the optimizer decision trace; nil unless tracing is on.
 	Trace *obs.Trace
@@ -360,19 +326,36 @@ func (db *DB) Run(sql string) (*BatchResult, error) {
 // RunContext is Run with a cancellation context: cancelling it stops the
 // executor (including all parallel workers) with the context's error.
 func (db *DB) RunContext(ctx context.Context, sql string) (*BatchResult, error) {
-	batchStart := time.Now()
-	rec := db.newSpanRecorder()
-	root := rec.StartSpan("batch")
-	ps := root.Child("parse")
-	stmts, err := parser.Parse(sql)
+	return db.observed(func(root *obs.Span) (*BatchResult, error) {
+		stmts, err := parse(root, sql)
+		if err != nil {
+			return nil, err
+		}
+		return db.runStatements(ctx, root, stmts)
+	})
+}
+
+// runStatements plans and executes a parsed batch, then materializes any
+// views it defines. View maintenance enters here with generated statements,
+// so its span tree simply lacks a parse child.
+func (db *DB) runStatements(ctx context.Context, root *obs.Span, stmts []parser.Statement) (*BatchResult, error) {
+	p, err := db.plan(stmts, db.newTrace(), root)
 	if err != nil {
-		ps.End()
-		db.recordFailure(rec, root, batchStart, err)
 		return nil, err
 	}
-	ps.SetAttr("statements", len(stmts))
-	ps.End()
-	return db.runObserved(ctx, stmts, rec, root, batchStart)
+	res, err := db.execute(ctx, root, p, p.prepareTime, false)
+	if err != nil {
+		return nil, err
+	}
+	for i, st := range p.batch.Statements {
+		if st.ViewName == "" {
+			continue
+		}
+		if err := db.materializeView(st, stmts[i], p.batch.Metadata, res.Statements[i]); err != nil {
+			return nil, err
+		}
+	}
+	return res, nil
 }
 
 // Optimize parses and optimizes a batch without executing it. It returns
@@ -382,56 +365,11 @@ func (db *DB) Optimize(sql string) (*core.Output, *logical.Metadata, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	batch, err := logical.BuildBatch(stmts, db.cat)
+	p, err := db.plan(stmts, db.newTrace(), nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	m, err := memo.Build(batch)
-	if err != nil {
-		return nil, nil, err
-	}
-	out, err := core.OptimizeTraced(m, db.settings, db.newTrace())
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, batch.Metadata, nil
-}
-
-// newTrace returns a fresh trace when tracing is on, else nil (which
-// disables every trace hook in the optimizer).
-func (db *DB) newTrace() *obs.Trace {
-	if !db.tracing {
-		return nil
-	}
-	return obs.NewTrace()
-}
-
-// newSpanRecorder returns a fresh span recorder when span tracing is on, else
-// nil (which disables every span hook down the whole stack).
-func (db *DB) newSpanRecorder() *obs.SpanRecorder {
-	if !db.spanTracing {
-		return nil
-	}
-	return obs.NewSpanRecorder()
-}
-
-// recordFailure closes out a batch that died before execution finished: the
-// error lands on the root span, unfinished spans are closed and tagged, and
-// the flight recorder still gets a record — failed batches are exactly the
-// ones a post-hoc investigation wants to see.
-func (db *DB) recordFailure(rec *obs.SpanRecorder, root *obs.Span, batchStart time.Time, err error) {
-	root.SetAttr("error", err.Error())
-	rec.Finish()
-	var spans []*obs.SpanNode
-	if rec.Enabled() {
-		spans = rec.Tree()
-	}
-	db.flight.Record(&obs.BatchRecord{
-		Start: batchStart,
-		Wall:  time.Since(batchStart),
-		Err:   err.Error(),
-		Spans: spans,
-	})
+	return p.out, p.batch.Metadata, nil
 }
 
 // Explain returns the physical plan for a batch, including any CSE plans.
@@ -450,176 +388,6 @@ func (db *DB) Explain(sql string) (string, error) {
 	}
 	sb.WriteString(out.Result.Format(md))
 	return sb.String(), nil
-}
-
-// runStatements runs a pre-parsed batch (view maintenance enters here); it
-// starts its own span recorder, so the tree simply lacks a parse child.
-func (db *DB) runStatements(ctx context.Context, stmts []parser.Statement) (*BatchResult, error) {
-	rec := db.newSpanRecorder()
-	return db.runObserved(ctx, stmts, rec, rec.StartSpan("batch"), time.Now())
-}
-
-func (db *DB) runObserved(ctx context.Context, stmts []parser.Statement, rec *obs.SpanRecorder, root *obs.Span, batchStart time.Time) (*BatchResult, error) {
-	root.SetAttr("statements", len(stmts))
-	batch, err := logical.BuildBatch(stmts, db.cat)
-	if err != nil {
-		db.recordFailure(rec, root, batchStart, err)
-		return nil, err
-	}
-
-	start := time.Now()
-	optSpan := root.Child("optimize")
-	m, err := memo.Build(batch)
-	if err != nil {
-		optSpan.End()
-		db.recordFailure(rec, root, batchStart, err)
-		return nil, err
-	}
-	out, err := core.OptimizeObserved(m, db.settings, db.newTrace(), optSpan)
-	optSpan.End()
-	if err != nil {
-		db.recordFailure(rec, root, batchStart, err)
-		return nil, err
-	}
-	optTime := time.Since(start)
-
-	start = time.Now()
-	execSpan := root.Child("execute")
-	results, execStats, err := exec.RunWithOptions(ctx, out.Result, batch.Metadata, db.store,
-		exec.Options{Parallelism: db.parallelism, ChunkSize: db.chunkSize, Cache: db.cache, Span: execSpan, NoColPlane: db.noColPlane})
-	if err != nil {
-		execSpan.End()
-		db.recordFailure(rec, root, batchStart, err)
-		return nil, err
-	}
-	execSpan.SetAttr("spools", len(execStats.SpoolRows))
-	execSpan.SetAttr("spools_cached", execStats.CacheHits())
-	execSpan.End()
-	execTime := time.Since(start)
-	db.recordMetrics(len(results), &out.Stats, execStats, optTime, execTime)
-	db.traceCacheEvents(out.Trace, out.Result, execStats)
-
-	// Materialize any views defined by the batch.
-	for i, st := range batch.Statements {
-		if st.ViewName == "" {
-			continue
-		}
-		if err := db.materializeView(st, stmts[i], batch.Metadata, results[i]); err != nil {
-			db.recordFailure(rec, root, batchStart, err)
-			return nil, err
-		}
-	}
-
-	rows := 0
-	for _, r := range results {
-		rows += len(r.Rows)
-	}
-	root.SetAttr("rows", rows)
-	root.End()
-	rec.Finish()
-	var spans []*obs.SpanNode
-	if rec.Enabled() {
-		spans = rec.Tree()
-	}
-	db.flight.Record(&obs.BatchRecord{
-		Start:              batchStart,
-		Wall:               time.Since(batchStart),
-		Optimize:           optTime,
-		Exec:               execTime,
-		Statements:         len(results),
-		Rows:               rows,
-		Candidates:         out.Stats.Candidates,
-		UsedCSEs:           len(out.Stats.UsedCSEs),
-		SpoolsMaterialized: len(execStats.SpoolRows) - execStats.CacheHits(),
-		SpoolsCached:       execStats.CacheHits(),
-		Spans:              spans,
-	})
-
-	return &BatchResult{
-		Statements:    results,
-		Stats:         out.Stats,
-		OptimizeTime:  optTime,
-		ExecTime:      execTime,
-		EstimatedCost: out.Result.Cost,
-		SpoolRows:     execStats.SpoolRows,
-		ExecStats:     execStats,
-		Explain:       out.Result.Format(batch.Metadata),
-		Trace:         out.Trace,
-		Spans:         spans,
-	}, nil
-}
-
-// recordMetrics updates the registry after one executed batch.
-func (db *DB) recordMetrics(nStatements int, stats *core.Stats, es *exec.Stats, optTime, execTime time.Duration) {
-	r := db.metrics
-	r.Counter("csedb_batches_total").Inc()
-	r.Counter("csedb_statements_total").Add(int64(nStatements))
-	r.Counter("cse_candidates_total").Add(int64(stats.Candidates))
-	r.Counter("cse_used_total").Add(int64(len(stats.UsedCSEs)))
-	r.Counter("cse_reoptimizations_total").Add(int64(stats.CSEOptimizations))
-	r.Counter("cse_pruned_h1_total").Add(int64(stats.PrunedH1))
-	r.Counter("cse_pruned_h2_total").Add(int64(stats.PrunedH2))
-	r.Counter("cse_pruned_h3_total").Add(int64(stats.PrunedH3))
-	r.Counter("cse_pruned_h4_total").Add(int64(stats.PrunedH4))
-	for _, rows := range es.SpoolRows {
-		r.Counter("spool_rows_total").Add(int64(rows))
-	}
-	r.Counter("exec_waves_total").Add(int64(len(es.Waves)))
-	r.Counter("exec_morsels_total").Add(int64(es.Morsels))
-	r.Counter("exec_parallel_ops_total").Add(int64(es.ParallelOps))
-	if es.FallbackReason != "" {
-		r.Counter("exec_sequential_fallbacks_total").Inc()
-	}
-	r.Counter("exec_spools_cached_total").Add(int64(es.CacheHits()))
-	r.Counter("exec_col_selections_total").Add(int64(es.ColSelections))
-	r.Counter("exec_col_hash_passes_total").Add(int64(es.ColHashPasses))
-	r.Gauge("exec_worker_utilization").Set(es.Utilization())
-	// The prepared-execution path passes optTime 0 (the plan was optimized
-	// once, elsewhere); recording those zeros would skew the histogram.
-	if optTime > 0 {
-		r.Histogram("optimize_seconds").Observe(optTime.Seconds())
-	}
-	r.Histogram("exec_seconds").Observe(execTime.Seconds())
-	for id, d := range es.SpoolTimes {
-		if !es.SpoolCached[id] {
-			r.HistogramWith("spool_materialize_seconds", spoolMaterializeBounds).Observe(d.Seconds())
-		}
-	}
-}
-
-// spoolMaterializeBounds buckets spool materialization times: sub-millisecond
-// spools dominate the test workloads, so the default seconds-scale buckets
-// would be useless on the left end.
-var spoolMaterializeBounds = []float64{1e-5, 1e-4, 1e-3, 0.01, 0.1, 0.5, 1, 5}
-
-// traceCacheEvents appends one EvCache event per executed spool to the
-// batch's optimizer trace, recording whether the cross-batch result cache
-// served it. No-op when tracing is off or the cache is disabled.
-func (db *DB) traceCacheEvents(tr *obs.Trace, res *opt.Result, es *exec.Stats) {
-	if tr == nil || db.cache == nil {
-		return
-	}
-	ids := make([]int, 0, len(es.SpoolRows))
-	for id := range es.SpoolRows {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		outcome := "miss"
-		if es.SpoolCached[id] {
-			outcome = "hit"
-		}
-		label := fmt.Sprintf("CSE%d", id)
-		if c := res.CSEs[id]; c != nil && c.SpecKey == "" {
-			outcome = "uncacheable"
-		}
-		tr.Add(obs.Event{
-			Kind:   obs.EvCache,
-			Label:  label,
-			Reason: outcome,
-			Values: map[string]float64{"rows": float64(es.SpoolRows[id])},
-		})
-	}
 }
 
 func (db *DB) materializeView(st *logical.Statement, astStmt parser.Statement, md *logical.Metadata, res *exec.StatementResult) error {
@@ -660,14 +428,18 @@ type MaintenanceResult struct {
 // is optimized together — so similar subexpressions among the maintenance
 // expressions are detected and shared exactly like a user query batch.
 func (db *DB) InsertWithViewMaintenance(table string, rows []Row) (*MaintenanceResult, error) {
+	if err := db.Insert(table, rows); err != nil {
+		return nil, err
+	}
+	out := &MaintenanceResult{}
+	affected := db.views.Affected(table)
+	if len(affected) == 0 {
+		return out, nil
+	}
 	ctab, err := db.cat.Table(table)
 	if err != nil {
 		return nil, err
 	}
-	if err := db.checkRows(ctab, rows); err != nil {
-		return nil, err
-	}
-	affected := db.views.Affected(table)
 
 	// Register the delta work table; the optimizer treats it as a regular
 	// (small) table whose name is shared by every maintenance expression,
@@ -688,28 +460,14 @@ func (db *DB) InsertWithViewMaintenance(table string, rows []Row) (*MaintenanceR
 		_ = db.cat.Drop(deltaName)
 	}()
 
-	// Apply the base-table insert itself.
-	if err := db.store.Insert(table, rows); err != nil {
-		return nil, err
-	}
-	ctab.OrderedBy = nil
-	stab, err := db.store.Table(table)
-	if err != nil {
-		return nil, err
-	}
-	storage.AnalyzeTable(ctab, stab)
-
-	out := &MaintenanceResult{}
-	if len(affected) == 0 {
-		return out, nil
-	}
-
 	stmts := make([]parser.Statement, len(affected))
 	for i, v := range affected {
 		stmts[i] = v.MaintenanceStmt(table, deltaName)
 		out.ViewsMaintained = append(out.ViewsMaintained, v.Name)
 	}
-	res, err := db.runStatements(context.Background(), stmts)
+	res, err := db.observed(func(root *obs.Span) (*BatchResult, error) {
+		return db.runStatements(context.Background(), root, stmts)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("maintaining views: %w", err)
 	}

@@ -9,10 +9,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/logical"
-	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/opt"
-	"repro/internal/parser"
 )
 
 // ExplainAnalyze executes a batch with per-operator instrumentation and
@@ -27,42 +25,28 @@ func (db *DB) ExplainAnalyze(sql string) (string, error) {
 
 // ExplainAnalyzeContext is ExplainAnalyze with a cancellation context.
 func (db *DB) ExplainAnalyzeContext(ctx context.Context, sql string) (string, error) {
-	stmts, err := parser.Parse(sql)
+	var p *Prepared
+	res, err := db.observed(func(root *obs.Span) (*BatchResult, error) {
+		stmts, err := parse(root, sql)
+		if err != nil {
+			return nil, err
+		}
+		// EXPLAIN ANALYZE always traces: the decision trail is part of its
+		// output regardless of the database-wide tracing toggle.
+		p, err = db.plan(stmts, obs.NewTrace(), root)
+		if err != nil {
+			return nil, err
+		}
+		return db.execute(ctx, root, p, p.prepareTime, true)
+	})
 	if err != nil {
 		return "", err
 	}
-	batch, err := logical.BuildBatch(stmts, db.cat)
-	if err != nil {
-		return "", err
-	}
-	start := time.Now()
-	m, err := memo.Build(batch)
-	if err != nil {
-		return "", err
-	}
-	// EXPLAIN ANALYZE always traces: the decision trail is part of its
-	// output regardless of the database-wide tracing toggle.
-	tr := obs.NewTrace()
-	out, err := core.OptimizeTraced(m, db.settings, tr)
-	if err != nil {
-		return "", err
-	}
-	optTime := time.Since(start)
-
-	start = time.Now()
-	results, stats, err := exec.RunWithOptions(ctx, out.Result, batch.Metadata, db.store,
-		exec.Options{Parallelism: db.parallelism, ChunkSize: db.chunkSize, Analyze: true, NoColPlane: db.noColPlane})
-	if err != nil {
-		return "", err
-	}
-	execTime := time.Since(start)
-	db.recordMetrics(len(results), &out.Stats, stats, optTime, execTime)
-
-	return renderAnalyzed(out, batch.Metadata, stats, tr, optTime, execTime), nil
+	return renderAnalyzed(p.out, p.batch.Metadata, res.ExecStats, res.OptimizeTime, res.ExecTime), nil
 }
 
 // renderAnalyzed assembles the EXPLAIN ANALYZE text.
-func renderAnalyzed(out *core.Output, md *logical.Metadata, stats *exec.Stats, tr *obs.Trace, optTime, execTime time.Duration) string {
+func renderAnalyzed(out *core.Output, md *logical.Metadata, stats *exec.Stats, optTime, execTime time.Duration) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "estimated cost: %.2f (base %.2f), optimized in %s, executed in %s\n",
 		out.Stats.FinalCost, out.Stats.BaseCost, optTime.Round(time.Microsecond), execTime.Round(time.Microsecond))
@@ -88,7 +72,7 @@ func renderAnalyzed(out *core.Output, md *logical.Metadata, stats *exec.Stats, t
 	// The CSE decision trail: every pruning decision with its evidence, plus
 	// candidates, charge groups, and the subset search.
 	sb.WriteString("CSE decisions:\n")
-	for _, e := range tr.Events() {
+	for _, e := range out.Trace.Events() {
 		sb.WriteString("  ")
 		sb.WriteString(e.String())
 		sb.WriteByte('\n')

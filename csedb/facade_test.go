@@ -227,10 +227,10 @@ func TestSpoolMaterializedOnce(t *testing.T) {
 	if len(res.Stats.UsedCSEs) != 1 {
 		t.Fatalf("used CSEs = %v", res.Stats.UsedCSEs)
 	}
-	if len(res.SpoolRows) != 1 {
-		t.Fatalf("spools materialized = %v, want exactly the one used CSE", res.SpoolRows)
+	if len(res.ExecStats.SpoolRows) != 1 {
+		t.Fatalf("spools materialized = %v, want exactly the one used CSE", res.ExecStats.SpoolRows)
 	}
-	for id, n := range res.SpoolRows {
+	for id, n := range res.ExecStats.SpoolRows {
 		if n <= 0 {
 			t.Errorf("spool %d materialized %d rows", id, n)
 		}

@@ -3,14 +3,11 @@ package csedb
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/logical"
-	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/parser"
 	"repro/internal/storage"
@@ -27,9 +24,9 @@ func OpenOn(cat *catalog.Catalog, store *storage.Store, opts Options) *DB {
 	return db
 }
 
-// Prepared is an optimized, execution-ready SELECT batch: the output of
-// parse + bind + CSE optimization, reusable across executions. A Prepared
-// is immutable after Prepare returns — the optimizer result is read-only at
+// Prepared is an optimized, execution-ready batch: the output of the plan
+// step (bind + CSE optimization), reusable across executions. A Prepared is
+// immutable after Prepare returns — the optimizer result is read-only at
 // execution time — so it is safe to execute concurrently from many
 // goroutines and to cache across requests.
 //
@@ -38,9 +35,8 @@ func OpenOn(cat *catalog.Catalog, store *storage.Store, opts Options) *DB {
 // raced it reports stale on the very next Versions check — the same
 // discipline the spool result cache uses.
 type Prepared struct {
-	db           *DB
 	stmts        []parser.Statement
-	md           *logical.Metadata
+	batch        *logical.Batch
 	out          *core.Output
 	sourceTables []string
 	versions     map[string]uint64
@@ -68,43 +64,7 @@ func (db *DB) PrepareStatements(stmts []parser.Statement) (*Prepared, error) {
 	if len(stmts) == 0 {
 		return nil, fmt.Errorf("empty batch")
 	}
-	start := time.Now()
-	batch, err := logical.BuildBatch(stmts, db.cat)
-	if err != nil {
-		return nil, err
-	}
-	// Version snapshot before the optimizer reads statistics: the table set
-	// is every bound instance in the metadata (a superset of what the final
-	// plan scans, which is sound for invalidation).
-	seen := map[string]bool{}
-	var tables []string
-	for i := 0; i < batch.Metadata.NumRels(); i++ {
-		name := batch.Metadata.Rel(logical.RelID(i)).Tab.Name
-		if !seen[name] {
-			seen[name] = true
-			tables = append(tables, name)
-		}
-	}
-	sort.Strings(tables)
-	versions := db.store.Versions(tables)
-
-	m, err := memo.Build(batch)
-	if err != nil {
-		return nil, err
-	}
-	out, err := core.OptimizeTraced(m, db.settings, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &Prepared{
-		db:           db,
-		stmts:        stmts,
-		md:           batch.Metadata,
-		out:          out,
-		sourceTables: tables,
-		versions:     versions,
-		prepareTime:  time.Since(start),
-	}, nil
+	return db.plan(stmts, nil, nil)
 }
 
 // NumStatements returns the number of statements in the prepared batch.
@@ -118,7 +78,7 @@ func (p *Prepared) SourceTables() []string { return p.sourceTables }
 // (lowercased keys, matching storage.Store.Versions).
 func (p *Prepared) Versions() map[string]uint64 { return p.versions }
 
-// PrepareTime returns the parse-to-optimized wall time.
+// PrepareTime returns the bind-to-optimized wall time.
 func (p *Prepared) PrepareTime() time.Duration { return p.prepareTime }
 
 // Stale reports whether any referenced table has changed since the plan was
@@ -139,65 +99,13 @@ func (p *Prepared) Stale(store *storage.Store) bool {
 // annotate hook runs on the root span before execution so callers (the
 // serving layer) can attach coalesce/session attributes; it is never called
 // when span tracing is off.
-//
-// ExecutePrepared skips the per-execution work Run does that a prepared
-// plan has already paid or cannot need: parse, bind, optimize, view
-// materialization, and Explain formatting.
 func (db *DB) ExecutePrepared(ctx context.Context, p *Prepared, annotate func(*obs.Span)) (*BatchResult, error) {
-	batchStart := time.Now()
-	rec := db.newSpanRecorder()
-	root := rec.StartSpan("batch")
-	root.SetAttr("statements", len(p.stmts))
-	root.SetAttr("prepared", true)
-	if annotate != nil && rec.Enabled() {
-		annotate(root)
-	}
-
-	execSpan := root.Child("execute")
-	results, execStats, err := exec.RunWithOptions(ctx, p.out.Result, p.md, db.store,
-		exec.Options{Parallelism: db.parallelism, ChunkSize: db.chunkSize, Cache: db.cache, Span: execSpan, NoColPlane: db.noColPlane})
-	if err != nil {
-		execSpan.End()
-		db.recordFailure(rec, root, batchStart, err)
-		return nil, err
-	}
-	execSpan.SetAttr("spools", len(execStats.SpoolRows))
-	execSpan.SetAttr("spools_cached", execStats.CacheHits())
-	execSpan.End()
-	execTime := time.Since(batchStart)
-	db.recordMetrics(len(results), &p.out.Stats, execStats, 0, execTime)
-
-	rows := 0
-	for _, r := range results {
-		rows += len(r.Rows)
-	}
-	root.SetAttr("rows", rows)
-	root.End()
-	rec.Finish()
-	var spans []*obs.SpanNode
-	if rec.Enabled() {
-		spans = rec.Tree()
-	}
-	db.flight.Record(&obs.BatchRecord{
-		Start:              batchStart,
-		Wall:               time.Since(batchStart),
-		Exec:               execTime,
-		Statements:         len(results),
-		Rows:               rows,
-		Candidates:         p.out.Stats.Candidates,
-		UsedCSEs:           len(p.out.Stats.UsedCSEs),
-		SpoolsMaterialized: len(execStats.SpoolRows) - execStats.CacheHits(),
-		SpoolsCached:       execStats.CacheHits(),
-		Spans:              spans,
+	return db.observed(func(root *obs.Span) (*BatchResult, error) {
+		root.SetAttr("statements", len(p.stmts))
+		root.SetAttr("prepared", true)
+		if annotate != nil && root != nil {
+			annotate(root)
+		}
+		return db.execute(ctx, root, p, 0, false)
 	})
-
-	return &BatchResult{
-		Statements:    results,
-		Stats:         p.out.Stats,
-		ExecTime:      execTime,
-		EstimatedCost: p.out.Result.Cost,
-		SpoolRows:     execStats.SpoolRows,
-		ExecStats:     execStats,
-		Spans:         spans,
-	}, nil
 }

@@ -62,7 +62,7 @@ func main() {
 		fmt.Println("→ aggregated before spooling: smaller work table than the")
 		fmt.Println("  user's raw-join CTE would have materialized.")
 	}
-	for id, n := range res.SpoolRows {
+	for id, n := range res.ExecStats.SpoolRows {
 		fmt.Printf("spool CSE%d materialized once: %d rows\n", id, n)
 	}
 	fmt.Printf("\nestimated cost %.2f with sharing vs %.2f without\n",

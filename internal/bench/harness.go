@@ -152,7 +152,8 @@ func (s *stopwatch) Lap() time.Duration {
 // scenario (RunRepeated) measures the cache deliberately.
 func NewDB(cfg Config, mode Mode) (*csedb.DB, error) {
 	s := mode.Settings()
-	db := csedb.Open(csedb.Options{CSE: &s, SearchStrategy: cfg.Search, ExecParallelism: cfg.Parallelism, Tracing: cfg.Tracing, CacheBudget: -1})
+	s.SearchStrategy = cfg.Search
+	db := csedb.Open(csedb.Options{CSE: &s, ExecParallelism: cfg.Parallelism, Tracing: cfg.Tracing, CacheBudget: -1})
 	if err := db.LoadTPCH(cfg.ScaleFactor, cfg.Seed); err != nil {
 		return nil, err
 	}
@@ -525,7 +526,8 @@ func (r *RepeatedMeasurement) WarmSpeedup() float64 { return speedup(r.ColdExec,
 // counts as the cold run.
 func RunRepeated(cfg Config, sql string) (*RepeatedMeasurement, error) {
 	s := WithCSE.Settings()
-	db := csedb.Open(csedb.Options{CSE: &s, SearchStrategy: cfg.Search, ExecParallelism: cfg.Parallelism, Tracing: cfg.Tracing})
+	s.SearchStrategy = cfg.Search
+	db := csedb.Open(csedb.Options{CSE: &s, ExecParallelism: cfg.Parallelism, Tracing: cfg.Tracing})
 	if err := db.LoadTPCH(cfg.ScaleFactor, cfg.Seed); err != nil {
 		return nil, err
 	}

@@ -195,8 +195,8 @@ type Output struct {
 	Candidates []*opt.Candidate
 	Optimizer  *opt.Optimizer
 
-	// Trace holds the structured optimizer trace when one was requested via
-	// OptimizeTraced; nil otherwise.
+	// Trace holds the structured optimizer trace when one was passed to
+	// OptimizeObserved; nil otherwise.
 	Trace *obs.Trace
 }
 
@@ -205,23 +205,18 @@ type Output struct {
 // heuristic pruning, and cost-based selection over candidate subsets. The
 // returned plan is the cheapest found; it may use no CSEs at all.
 func Optimize(m *memo.Memo, settings Settings) (*Output, error) {
-	return OptimizeTraced(m, settings, nil)
+	return OptimizeObserved(m, settings, nil, nil)
 }
 
-// OptimizeTraced is Optimize with a structured decision trace: when tr is
-// non-nil, every signature-match, heuristic prune (with the cost bounds and
-// α/β/Δ thresholds that triggered it), Algorithm 1 merge, charge-group
-// assignment, and subset reoptimization is recorded on it. A nil tr disables
-// all trace hooks, keeping the untraced path free of overhead.
-func OptimizeTraced(m *memo.Memo, settings Settings, tr *obs.Trace) (*Output, error) {
-	return OptimizeObserved(m, settings, tr, nil)
-}
-
-// OptimizeObserved is OptimizeTraced with span tracing: when span is non-nil,
-// the optimizer's phases — base optimization, signature/candidate formation
+// OptimizeObserved is Optimize under observation. When tr is non-nil, every
+// signature-match, heuristic prune (with the cost bounds and α/β/Δ
+// thresholds that triggered it), Algorithm 1 merge, charge-group assignment,
+// and subset reoptimization is recorded on it. When span is non-nil, the
+// optimizer's phases — base optimization, signature/candidate formation
 // (with the H1–H4 prune counts as attributes), and the §5.3 subset
-// reoptimization — are recorded as child spans. A nil span disables all span
-// hooks; trace and span tracing are independent.
+// reoptimization — are recorded as child spans. A nil tr or span disables
+// that kind of hook, keeping the unobserved path free of overhead; the two
+// are independent.
 func OptimizeObserved(m *memo.Memo, settings Settings, tr *obs.Trace, span *obs.Span) (*Output, error) {
 	o := opt.NewOptimizer(m)
 	baseSpan := span.Child("optimize-base")

@@ -119,7 +119,7 @@ func TestGreedyTraceOrdering(t *testing.T) {
 	s.SearchStrategy = core.SearchGreedy
 	s.Heuristics = false
 	tr := obs.NewTrace()
-	out, err := core.OptimizeTraced(m, s, tr)
+	out, err := core.OptimizeObserved(m, s, tr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -370,12 +370,8 @@ func (s *spec) substituteFor(cid memo.GroupID) (*opt.Substitute, error) {
 		for _, oc := range g.OutCols {
 			var from scalar.ColID
 			if i := indexOfCol(g.GroupCols, oc); i >= 0 {
-				if needReagg {
-					// Re-aggregation groups by CSE-space columns.
-					from = mappedGroup[i]
-				} else {
-					from = mappedGroup[i]
-				}
+				// Re-aggregation, if any, groups by CSE-space columns too.
+				from = mappedGroup[i]
 			} else if i := indexOfAggOut(g.Aggs, oc); i >= 0 {
 				if needReagg {
 					from = oc // re-aggregation already produced consumer's column

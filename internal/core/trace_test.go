@@ -15,7 +15,7 @@ func optimizeTraced(t *testing.T, sf float64, sql string) (*core.Output, *obs.Tr
 	cat := testCatalog(t, sf)
 	m := buildMemo(t, cat, sql)
 	tr := obs.NewTrace()
-	out, err := core.OptimizeTraced(m, core.DefaultSettings(), tr)
+	out, err := core.OptimizeObserved(m, core.DefaultSettings(), tr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,9 +64,8 @@ func TestColumnPlanePinned(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: row plane: %v", seed, err)
 		}
-		if colText != rowText {
-			t.Fatalf("seed %d: column plane diverged from row plane:\n%s\nbatch:\n%s",
-				seed, diffExcerpt(rowText, colText), sql)
+		if d := diff(rowText, colText); d != "" {
+			t.Fatalf("seed %d: column plane diverged from row plane:\n%s\nbatch:\n%s", seed, d, sql)
 		}
 		if rowStats.ColSelections != 0 || rowStats.ColHashPasses != 0 {
 			t.Fatalf("seed %d: row-plane run reported columnar work (%d selections, %d hash passes)",

@@ -6,8 +6,10 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/opt"
 	"repro/internal/qgen"
+	"repro/internal/sqltypes"
 )
 
 var (
@@ -133,5 +135,67 @@ func TestNormalizeRoundsFloats(t *testing.T) {
 	err := o.Check("select l_returnflag, sum(l_extendedprice) as s from lineitem group by l_returnflag; select l_returnflag, sum(l_extendedprice) as s from lineitem where l_quantity > 0 group by l_returnflag;")
 	if err != nil {
 		t.Fatalf("normalization should absorb float summation order: %v", err)
+	}
+}
+
+// TestDiffFloatTolerance: two sums that differ in the last bit must compare
+// equal even when they straddle a decimal rounding boundary (rounding to four
+// decimals called this pair 190008.3908 and 190008.3907), while a real
+// difference, and any difference in a non-float cell, still shows.
+func TestDiffFloatTolerance(t *testing.T) {
+	result := func(key int64, f float64) []*exec.StatementResult {
+		return []*exec.StatementResult{{
+			Names: []string{"k", "s"},
+			Rows:  []sqltypes.Row{{sqltypes.NewInt(key), sqltypes.NewFloat(f)}},
+		}}
+	}
+	lo, hi := 190008.39074999999, 190008.39075000001
+	if d := diff(Normalize(result(1, lo)), Normalize(result(1, hi))); d != "" {
+		t.Errorf("last-bit float difference reported as a mismatch:\n%s", d)
+	}
+	if diff(Normalize(result(1, lo)), Normalize(result(1, lo+0.01))) == "" {
+		t.Error("a float difference of 0.01 must be a mismatch")
+	}
+	if diff(Normalize(result(10000000000, lo)), Normalize(result(10000000001, lo))) == "" {
+		t.Error("integer cells must compare exactly")
+	}
+}
+
+// TestRegressionCountOverEmptySpool pins benchmark/FINDINGS.md's wrong
+// answer: a count re-aggregated from a shared spool in which no row qualifies
+// came back NULL instead of 0. The first batch is the FINDINGS query beside
+// the covering companion it had in its generated batch (qgen seed 55433, 48
+// queries, NoCTE); the second is what the shrinker reduces that pair to.
+func TestRegressionCountOverEmptySpool(t *testing.T) {
+	o := tpchOracle(t, Matrix())
+	for _, sql := range []string{`
+select max(o_totalprice) as a0, count(*) as a1
+from customer, orders, nation
+where c_custkey = o_custkey
+  and c_nationkey = n_nationkey
+  and o_orderdate < '1996-07-01'
+  and o_totalprice = 31528;
+
+select n_regionkey, c_mktsegment, count(*) as a0, count(*) as a1
+from customer, orders, nation
+where c_custkey = o_custkey
+  and c_nationkey = n_nationkey
+  and o_orderdate < '1996-07-01'
+  and n_regionkey in (2, 3)
+group by n_regionkey, c_mktsegment;`, `
+select count(*) as a1
+from customer, orders, nation
+where c_custkey = o_custkey
+  and c_nationkey = n_nationkey
+  and o_totalprice = 31528;
+
+select count(*) as a0
+from customer, orders, nation
+where c_custkey = o_custkey
+  and c_nationkey = n_nationkey
+  and n_regionkey in (2);`} {
+		if err := o.Check(sql); err != nil {
+			t.Errorf("differential failure: %v\nbatch:%s", err, sql)
+		}
 	}
 }

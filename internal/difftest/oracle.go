@@ -14,7 +14,9 @@ package difftest
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/cache"
@@ -191,8 +193,8 @@ func (o *Oracle) Check(sql string) error {
 			baseName, baseText = cfg.Name, text
 			continue
 		}
-		if text != baseText {
-			return &Mismatch{Base: baseName, Config: cfg.Name, Diff: diffExcerpt(baseText, text)}
+		if d := diff(baseText, text); d != "" {
+			return &Mismatch{Base: baseName, Config: cfg.Name, Diff: d}
 		}
 	}
 	return nil
@@ -252,8 +254,8 @@ func (o *Oracle) runConfig(cfg Config, stmts []parser.Statement) (string, error)
 		t := Normalize(res)
 		if r == 0 {
 			text = t
-		} else if t != text {
-			return "", &Mismatch{Base: fmt.Sprintf("%s run 1 (cold)", cfg.Name), Config: fmt.Sprintf("%s run %d (warm)", cfg.Name, r+1), Diff: diffExcerpt(text, t)}
+		} else if d := diff(text, t); d != "" {
+			return "", &Mismatch{Base: fmt.Sprintf("%s run 1 (cold)", cfg.Name), Config: fmt.Sprintf("%s run %d (warm)", cfg.Name, r+1), Diff: d}
 		}
 	}
 	if cfg.Observe {
@@ -270,9 +272,10 @@ func (o *Oracle) runConfig(cfg Config, stmts []parser.Statement) (string, error)
 	return text, nil
 }
 
-// Normalize renders statement results into a canonical comparable form:
-// column headers, then rows sorted lexicographically with floats rounded to
-// 4 decimals (different summation orders across plans must compare equal).
+// Normalize renders statement results into a canonical form for diff:
+// column headers, then rows sorted lexicographically. Float cells are
+// written exactly and marked with a leading '~'; every other cell is its
+// plain text.
 func Normalize(res []*exec.StatementResult) string {
 	var sb strings.Builder
 	for i, sr := range res {
@@ -297,7 +300,8 @@ func normalizeRow(r sqltypes.Row) string {
 			sb.WriteByte('\t')
 		}
 		if d.Kind() == sqltypes.KindFloat {
-			fmt.Fprintf(&sb, "%.4f", d.Float())
+			sb.WriteByte('~')
+			sb.WriteString(strconv.FormatFloat(d.Float(), 'g', -1, 64))
 		} else {
 			sb.WriteString(d.String())
 		}
@@ -305,17 +309,51 @@ func normalizeRow(r sqltypes.Row) string {
 	return sb.String()
 }
 
-// diffExcerpt shows the first divergence between two normalized texts.
-func diffExcerpt(a, b string) string {
-	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
-	n := len(al)
-	if len(bl) < n {
-		n = len(bl)
+// diff compares two Normalize texts: "" when they agree, else the first
+// divergence. Everything must be byte-identical except float cells, which
+// agree within a billionth of each other relative to their size: different
+// plans add the same numbers in different orders, which moves the last few
+// bits, and rounding both sides to fixed decimals instead would call
+// 190008.39075000001 and 190008.39074999999 different.
+func diff(a, b string) string {
+	if a == b {
+		return ""
 	}
-	for i := 0; i < n; i++ {
-		if al[i] != bl[i] {
+	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
+	for i := 0; i < len(al) && i < len(bl); i++ {
+		if !sameLine(al[i], bl[i]) {
 			return fmt.Sprintf("line %d:\n  baseline: %s\n  got:      %s", i+1, al[i], bl[i])
 		}
 	}
-	return fmt.Sprintf("baseline has %d lines, got %d", len(al), len(bl))
+	if len(al) != len(bl) {
+		return fmt.Sprintf("baseline has %d lines, got %d", len(al), len(bl))
+	}
+	return ""
+}
+
+func sameLine(a, b string) bool {
+	if a == b {
+		return true
+	}
+	ac, bc := strings.Split(a, "\t"), strings.Split(b, "\t")
+	if len(ac) != len(bc) {
+		return false
+	}
+	for i := range ac {
+		if ac[i] == bc[i] {
+			continue
+		}
+		if !strings.HasPrefix(ac[i], "~") || !strings.HasPrefix(bc[i], "~") {
+			return false
+		}
+		x, errX := strconv.ParseFloat(ac[i][1:], 64)
+		y, errY := strconv.ParseFloat(bc[i][1:], 64)
+		if errX != nil || errY != nil {
+			return false
+		}
+		if math.Abs(x-y) > 1e-9*math.Max(1, math.Max(math.Abs(x), math.Abs(y))) {
+			return false
+		}
+	}
+	return true
 }

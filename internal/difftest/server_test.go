@@ -76,9 +76,8 @@ func TestServerDifferential(t *testing.T) {
 			}
 		}
 
-		if got, want := Normalize(results), Normalize(direct.Statements); got != want {
-			t.Fatalf("seed %d: server-path results diverge from direct sequential execution:\n%s",
-				seed, diffExcerpt(want, got))
+		if d := diff(Normalize(direct.Statements), Normalize(results)); d != "" {
+			t.Fatalf("seed %d: server-path results diverge from direct sequential execution:\n%s", seed, d)
 		}
 	}
 

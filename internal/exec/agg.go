@@ -106,7 +106,7 @@ func (s *aggState) add(d sqltypes.Datum) {
 	}
 	s.count++
 	switch s.kind {
-	case scalar.AggSum:
+	case scalar.AggSum, scalar.AggSum0:
 		if d.Kind() == sqltypes.KindInt {
 			s.sumI += d.Int()
 		} else {
@@ -131,7 +131,7 @@ func (s *aggState) add(d sqltypes.Datum) {
 func (s *aggState) merge(o *aggState) {
 	s.count += o.count
 	switch s.kind {
-	case scalar.AggSum:
+	case scalar.AggSum, scalar.AggSum0:
 		s.sumI += o.sumI
 		s.sumF.merge(&o.sumF)
 		s.isInt = s.isInt && o.isInt
@@ -151,8 +151,11 @@ func (s *aggState) result() sqltypes.Datum {
 	switch s.kind {
 	case scalar.AggCount, scalar.AggCountStar:
 		return sqltypes.NewInt(s.count)
-	case scalar.AggSum:
+	case scalar.AggSum, scalar.AggSum0:
 		if s.count == 0 {
+			if s.kind == scalar.AggSum0 {
+				return sqltypes.NewInt(0)
+			}
 			return sqltypes.Null
 		}
 		if s.isInt {

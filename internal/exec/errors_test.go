@@ -46,7 +46,7 @@ func TestRunRejectsNonRootStatements(t *testing.T) {
 		Root: &opt.Plan{Op: opt.PSeq, Children: []*opt.Plan{{Op: opt.PScan}}},
 		CSEs: map[int]*opt.CSEPlan{},
 	}
-	if _, err := Run(context.Background(), res, logical.NewMetadata(), storage.NewStore()); err == nil {
+	if _, _, err := RunWithOptions(context.Background(), res, logical.NewMetadata(), storage.NewStore(), Options{}); err == nil {
 		t.Error("non-Output statement plan must be rejected")
 	}
 }

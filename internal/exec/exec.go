@@ -208,21 +208,10 @@ func (c *Context) fork(ctx context.Context) *Context {
 	return &cc
 }
 
-// Run executes an optimized batch and returns per-statement results.
-func Run(ctx context.Context, res *opt.Result, md *logical.Metadata, store *storage.Store) ([]*StatementResult, error) {
-	out, _, err := RunWithStats(ctx, res, md, store)
-	return out, err
-}
-
-// RunWithStats executes with default options and additionally reports
-// execution statistics — each CSE appears exactly once in the spool stats
-// regardless of its number of consumers.
-func RunWithStats(ctx context.Context, res *opt.Result, md *logical.Metadata, store *storage.Store) ([]*StatementResult, *Stats, error) {
-	return RunWithOptions(ctx, res, md, store, Options{})
-}
-
 // RunWithOptions executes an optimized batch on a worker pool of the
-// configured size. The parallel scheduler materializes spools in
+// configured size and returns per-statement results with execution
+// statistics — each CSE appears exactly once in the spool stats regardless
+// of its number of consumers. The parallel scheduler materializes spools in
 // topological waves, then runs statements concurrently; the first error (or
 // a context cancellation) cancels all remaining work. Results are returned
 // in statement order and are identical to sequential execution.

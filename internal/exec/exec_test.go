@@ -244,18 +244,19 @@ func TestSpoolSharedAcrossStatements(t *testing.T) {
 	db := tinyDB(t)
 	// Two similar grouped queries: the engine should build one covering
 	// aggregate and both statements read it.
-	res, err := db.Run(`
+	const sql = `
 select dept, sum(salary) as s from emp, dept where dept = name and salary > 0 group by dept;
 select dept, count(salary) as c from emp, dept where dept = name and salary > 0 group by dept;
-`)
+`
+	res, err := db.Run(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Stats.UsedCSEs) == 0 {
 		t.Skip("optimizer chose not to share on this tiny input")
 	}
-	if !strings.Contains(res.Explain, "SpoolScan") {
-		t.Error("plan should scan the shared spool")
+	if plan, err := db.Explain(sql); err != nil || !strings.Contains(plan, "SpoolScan") {
+		t.Errorf("plan should scan the shared spool (err %v):\n%s", err, plan)
 	}
 	// Both still produce correct results.
 	if len(res.Statements[0].Rows) != 2 || len(res.Statements[1].Rows) != 2 {

@@ -781,7 +781,7 @@ func (bc *blockCtx) combineDefs(target aggTarget, pi *partialInfo) []logical.Agg
 		case scalar.AggMin, scalar.AggMax:
 			def = logical.AggDef{Kind: a.Kind, Arg: a.Arg, Out: target.outs[i]}
 		case scalar.AggCountStar:
-			def = logical.AggDef{Kind: scalar.AggSum, Arg: scalar.Col(pi.cnt), Out: target.outs[i]}
+			def = logical.AggDef{Kind: scalar.AggSum0, Arg: scalar.Col(pi.cnt), Out: target.outs[i]}
 		default:
 			// validAggSubset rejects these; defensive.
 			def = logical.AggDef{Kind: a.Kind, Arg: a.Arg, Out: target.outs[i]}
@@ -884,19 +884,13 @@ func (bc *blockCtx) pickNext(covered, rest uint64) int {
 }
 
 // CombineAgg returns the aggregate that combines partial results stored in
-// column partialOut into the original aggregate's output: sums and counts
-// add up, min/min and max/max fold.
+// column partialOut into the original aggregate's output: sums add up,
+// min/min and max/max fold, and counts add up with AggSum0 — a count over
+// no rows is 0, where a plain sum of no partial counts would be NULL.
 func CombineAgg(orig logical.AggDef, partialOut scalar.ColID) logical.AggDef {
 	kind := orig.Kind
-	switch kind {
-	case scalar.AggCount, scalar.AggCountStar:
-		kind = scalar.AggSum
-	case scalar.AggSum:
-		kind = scalar.AggSum
-	case scalar.AggMin:
-		kind = scalar.AggMin
-	case scalar.AggMax:
-		kind = scalar.AggMax
+	if kind == scalar.AggCount || kind == scalar.AggCountStar {
+		kind = scalar.AggSum0
 	}
 	return logical.AggDef{Kind: kind, Arg: scalar.Col(partialOut), Out: orig.Out}
 }

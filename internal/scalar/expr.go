@@ -60,6 +60,10 @@ const (
 	AggMin
 	AggMax
 	AggAvg
+	// AggSum0 is a sum that is 0, not NULL, over no rows: how partial counts
+	// add up to a count. The optimizer introduces it when it combines
+	// partial aggregates; SQL text cannot name it.
+	AggSum0
 )
 
 // String returns the SQL name of the aggregate.
@@ -77,6 +81,8 @@ func (a AggKind) String() string {
 		return "max"
 	case AggAvg:
 		return "avg"
+	case AggSum0:
+		return "sum0"
 	default:
 		return fmt.Sprintf("agg(%d)", uint8(a))
 	}
