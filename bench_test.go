@@ -21,6 +21,7 @@ import (
 	"repro/csedb"
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/qgen"
 )
 
 func benchConfig() bench.Config {
@@ -234,4 +235,63 @@ func BenchmarkAblationSubsetPruning(b *testing.B) {
 			s.ExtendedSubsetPruning = true
 		}, sql)
 	})
+}
+
+// searchLargeSQL is the first 48-query skeleton batch of the benchmark's
+// search.large workload (31 candidates, greedy under the auto strategy).
+func searchLargeSQL() string {
+	return qgen.New(qgen.Config{Seed: 2 * 7919, MinQueries: 48, MaxQueries: 48, NoCTE: true}).Batch().SQL()
+}
+
+// BenchmarkGreedyMove times one optimizer call of the greedy subset search
+// on a prepared 48-query batch: from the set the search converged to, add
+// the lowest-numbered unused candidate, or drop the lowest-numbered used
+// one. Before every timed call the optimizer's history is reset to what the
+// search holds at that point of a round — exactly one optimization, of the
+// current set — so ns/op and allocs/op are those of one move.
+//
+//	go test -run '^$' -bench BenchmarkGreedyMove -benchtime 20x -benchmem .
+func BenchmarkGreedyMove(b *testing.B) {
+	db := csedb.Open(csedb.Options{})
+	if err := db.LoadTPCH(0.01, 42); err != nil {
+		b.Fatal(err)
+	}
+	out, _, err := db.Optimize(searchLargeSQL())
+	if err != nil {
+		b.Fatal(err)
+	}
+	cur := out.Stats.UsedCSEs
+	inCur := make(map[int]bool, len(cur))
+	for _, id := range cur {
+		inCur[id] = true
+	}
+	add := append([]int(nil), cur...)
+	for _, c := range out.Candidates {
+		if !inCur[c.ID] {
+			add = append(add, c.ID)
+			break
+		}
+	}
+	if len(cur) < 2 || len(add) == len(cur) {
+		b.Fatalf("batch converged to %v of %d candidates: no add and drop move to time", cur, len(out.Candidates))
+	}
+	o := out.Optimizer
+	for _, mv := range []struct {
+		name    string
+		enabled []int
+	}{{"add", add}, {"drop", cur[1:]}} {
+		b.Run(mv.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				o.ReleaseCaches()
+				if _, _, err := o.OptimizeWithCSEs(cur); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if _, _, err := o.OptimizeWithCSEs(mv.enabled); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -1,6 +1,7 @@
 package csedb_test
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,6 +11,7 @@ import (
 
 	"repro/csedb"
 	"repro/internal/bench"
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -268,5 +270,65 @@ func TestOptionsDebugAddr(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("/metrics = %d", resp.StatusCode)
+	}
+}
+
+// TestReoptimizationWorkObserved: the work the CSE reoptimizations did —
+// groups recosted, groups answered from history, statements refolded into
+// the batch root — reaches the batch stats, the subset-reoptimization span,
+// the greedy-round spans (which between them account for every call but the
+// seed) and the registry, and a prepared plan's re-execution adds none.
+func TestReoptimizationWorkObserved(t *testing.T) {
+	s := core.DefaultSettings()
+	s.Heuristics = false
+	s.SearchStrategy = core.SearchGreedy
+	db := openTPCHOpts(t, csedb.Options{CSE: &s, SpanTracing: true})
+	res, err := db.Run(bench.Table1SQL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := res.Stats.Work
+	if res.Stats.CSEOptimizations < 2 || w.GroupsRecosted == 0 || w.AltCacheHits == 0 || w.RootChildrenRefolded == 0 {
+		t.Fatalf("%d reoptimizations did work %+v, want every counter above zero", res.Stats.CSEOptimizations, w)
+	}
+	if limit := res.Stats.CSEOptimizations * 3; w.RootChildrenRefolded > limit {
+		t.Errorf("refolded %d root children, more than %d calls x 3 statements", w.RootChildrenRefolded, res.Stats.CSEOptimizations)
+	}
+	search := obs.Find(res.Spans, "subset-reoptimization")
+	for attr, want := range map[string]int{
+		"groups_recosted":        w.GroupsRecosted,
+		"alt_cache_hits":         w.AltCacheHits,
+		"root_children_refolded": w.RootChildrenRefolded,
+	} {
+		if search.Attrs[attr] != want {
+			t.Errorf("subset-reoptimization %s = %v, want %d", attr, search.Attrs[attr], want)
+		}
+	}
+	rounds, recostedInRounds := 0, 0
+	obs.Walk(res.Spans, func(n *obs.SpanNode) {
+		if n.Name == "greedy-round" {
+			rounds++
+			recostedInRounds += n.Attrs["groups_recosted"].(int)
+		}
+	})
+	if rounds == 0 || recostedInRounds == 0 || recostedInRounds >= w.GroupsRecosted {
+		t.Errorf("%d greedy rounds recosted %d groups of %d in all (the seed call is outside the rounds)",
+			rounds, recostedInRounds, w.GroupsRecosted)
+	}
+	recosted := db.Metrics().Counter("optimize_groups_recosted_total")
+	refolded := db.Metrics().Counter("optimize_root_children_refolded_total")
+	if recosted.Value() != int64(w.GroupsRecosted) || refolded.Value() != int64(w.RootChildrenRefolded) {
+		t.Errorf("registry has %d groups recosted, %d root children refolded; stats %+v", recosted.Value(), refolded.Value(), w)
+	}
+
+	p, err := db.Prepare(bench.Table1SQL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.ExecutePrepared(context.Background(), p, nil); err != nil {
+		t.Fatal(err)
+	}
+	if recosted.Value() != int64(w.GroupsRecosted) {
+		t.Errorf("executing a prepared plan moved optimize_groups_recosted_total to %d", recosted.Value())
 	}
 }

@@ -202,6 +202,8 @@ func (db *DB) recordMetrics(nStatements int, stats *core.Stats, es *exec.Stats, 
 	r.Gauge("exec_worker_utilization").Set(es.Utilization())
 	if optTime > 0 {
 		r.Histogram("optimize_seconds").Observe(optTime.Seconds())
+		r.Counter("optimize_groups_recosted_total").Add(int64(stats.Work.GroupsRecosted))
+		r.Counter("optimize_root_children_refolded_total").Add(int64(stats.Work.RootChildrenRefolded))
 	}
 	r.Histogram("exec_seconds").Observe(execTime.Seconds())
 	for id, d := range es.SpoolTimes {

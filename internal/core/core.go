@@ -112,7 +112,8 @@ type Settings struct {
 	ChargeAtRoot bool
 
 	// NoHistoryReuse (ablation) disables §5.4 optimization-history reuse
-	// across CSE reoptimizations.
+	// across CSE reoptimizations: each one starts from empty caches. The
+	// plans and costs are the same; only the work differs.
 	NoHistoryReuse bool
 
 	// SearchStrategy selects how the §5.3 cost-based selection searches the
@@ -185,6 +186,11 @@ type Stats struct {
 	PrunedH2 int
 	PrunedH3 int
 	PrunedH4 int
+
+	// Work is what the CSEOptimizations reoptimizations had to do between
+	// them: groups recosted, groups answered from optimization history, and
+	// statements refolded into the batch root.
+	Work opt.CSEWork
 }
 
 // Output bundles everything the engine and harnesses need.
@@ -304,6 +310,8 @@ func OptimizeObserved(m *memo.Memo, settings Settings, tr *obs.Trace, span *obs.
 	}
 	subsetSpan.SetAttr("reoptimizations", nOpts)
 	out.Stats.CSEOptimizations = nOpts
+	out.Stats.Work = o.Work
+	setWorkAttrs(subsetSpan, o.Work)
 	if best != nil && best.Cost < base.Cost {
 		best.MarkFusion()
 		out.Result = best
@@ -327,6 +335,13 @@ func OptimizeObserved(m *memo.Memo, settings Settings, tr *obs.Trace, span *obs.
 	// the chosen plan no longer needs them.
 	o.ReleaseCaches()
 	return out, nil
+}
+
+// setWorkAttrs records reoptimization work on a span.
+func setWorkAttrs(span *obs.Span, w opt.CSEWork) {
+	span.SetAttr("groups_recosted", w.GroupsRecosted)
+	span.SetAttr("alt_cache_hits", w.AltCacheHits)
+	span.SetAttr("root_children_refolded", w.RootChildrenRefolded)
 }
 
 // Describe renders the CSE phase's decisions for inspection and debugging:

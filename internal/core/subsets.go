@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
-	"strings"
 
 	"repro/internal/memo"
 	"repro/internal/obs"
@@ -364,6 +363,7 @@ func optimizeSubsetsGreedy(o *opt.Optimizer, m *memo.Memo, cands []*opt.Candidat
 	for round := 1; nOpts < opts.maxOpts; round++ {
 		roundSpan := opts.span.Child("greedy-round")
 		roundSpan.SetAttr("round", round)
+		workBefore := o.Work
 		var bestMove *greedyEval
 		bestMoveBit := -1
 		bestMoveCost := curCost
@@ -403,6 +403,7 @@ func optimizeSubsetsGreedy(o *opt.Optimizer, m *memo.Memo, cands []*opt.Candidat
 			}
 		}
 		roundSpan.SetAttr("moves_evaluated", evaluated)
+		setWorkAttrs(roundSpan, o.Work.Sub(workBefore))
 		if bestMoveBit < 0 || bestMoveEmpty || bestMove == nil {
 			// Converged: no move strictly improves the cost, or the best move
 			// is the empty set (the caller falls back to the base plan when
@@ -431,22 +432,4 @@ func optimizeSubsetsGreedy(o *opt.Optimizer, m *memo.Memo, cands []*opt.Candidat
 		}
 	}
 	return best, bestUsed, nOpts, nil
-}
-
-// sortedSetKey renders an id set as a canonical key without mutating the
-// caller's slice (sorting in place here once reordered live Enabled/used
-// slices as a side effect of key computation).
-func sortedSetKey(ids []int) string {
-	s := append([]int(nil), ids...)
-	sort.Ints(s)
-	return setKey(s)
-}
-
-// setKey renders a sorted id list.
-func setKey(ids []int) string {
-	var sb strings.Builder
-	for _, id := range ids {
-		fmt.Fprintf(&sb, "%d,", id)
-	}
-	return sb.String()
 }

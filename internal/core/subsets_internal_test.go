@@ -6,20 +6,6 @@ import (
 	"testing"
 )
 
-// The predecessor of sortedSetKey sorted the caller's slice in place as a
-// side effect of computing a map key, silently reordering the live
-// enabled/used sets recorded in trace events. This pins the fix.
-func TestSortedSetKeyDoesNotMutateInput(t *testing.T) {
-	ids := []int{3, 1, 2}
-	got := sortedSetKey(ids)
-	if want := "1,2,3,"; got != want {
-		t.Fatalf("sortedSetKey = %q, want %q", got, want)
-	}
-	if ids[0] != 3 || ids[1] != 1 || ids[2] != 2 {
-		t.Fatalf("sortedSetKey mutated its input: %v", ids)
-	}
-}
-
 // The lattice's lazy Gosper enumeration must visit exactly the masks the old
 // materialize-and-sort enumeration visited, in the same order: popcount
 // descending, numerically ascending within a popcount band.

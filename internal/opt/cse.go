@@ -1,7 +1,9 @@
 package opt
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -72,46 +74,62 @@ func (c *Candidate) WriteCost() float64 { return SpoolWriteCost(c.Rows, c.Bytes)
 func (c *Candidate) ReadBase() float64 { return SpoolReadCost(c.Rows, c.Bytes) }
 
 // Alt is one plan alternative tracked during CSE reoptimization: its cost,
-// the not-yet-charged candidate usage counts, and the expression plans
-// chosen for candidates already charged below.
+// the signature of its not-yet-charged candidate uses, and the expression
+// plans chosen for candidates already charged below.
 type Alt struct {
 	Plan    *Plan
 	Cost    float64
-	Uses    map[int]int
+	Uses    usage
 	Choices map[int]*Plan
 }
 
-func (a *Alt) usesKey() string {
-	if len(a.Uses) == 0 {
-		return ""
-	}
-	ids := make([]int, 0, len(a.Uses))
-	for id := range a.Uses {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	var sb strings.Builder
-	for _, id := range ids {
-		sb.WriteString(strconv.Itoa(id))
-		sb.WriteByte(':')
-		sb.WriteString(strconv.Itoa(a.Uses[id]))
-		sb.WriteByte(';')
-	}
-	return sb.String()
+// combo is a partial combination of child alternatives while an expression's
+// children are folded left to right: the alternative picked for the latest
+// child, linked to the combination over the children before it, with the
+// cost and usage signature of the whole chain. Extending a combination by one
+// child is one addition and one signature merge, whatever its length. The
+// zero combo is the empty combination.
+type combo struct {
+	prev *combo
+	alt  *Alt
+	cost float64
+	uses usage
 }
 
-func mergeUses(dst, src map[int]int) map[int]int {
-	if len(src) == 0 {
-		return dst
+// alts returns the n chained alternatives in child order.
+func (c *combo) alts(n int) []*Alt {
+	out := make([]*Alt, n)
+	for i := n - 1; i >= 0; i-- {
+		out[i] = c.alt
+		c = c.prev
 	}
-	if dst == nil {
-		dst = make(map[int]int, len(src))
-	}
-	for id, n := range src {
-		dst[id] += n
-	}
-	return dst
+	return out
 }
+
+// foldCache is the history of the batch root's fold over its statements:
+// the combinations reached after each child, under each set of enabled
+// candidates that affects the children so far.
+type foldCache struct {
+	// first is, by candidate ordinal, the index of the first child the
+	// candidate affects (the number of children when it affects none).
+	first []int
+	// after[j] maps the key of the enabled candidates with first <= j to the
+	// combinations over children 0..j.
+	after []map[string][]combo
+	// bytes is roughly what the cached combinations hold.
+	bytes int
+}
+
+// comboBytes is the size of a combo without its usage signature.
+const comboBytes = 48
+
+// maxFoldCacheBytes bounds the fold history kept between reoptimizations:
+// about 300 reoptimizations of a 48-statement batch with 32 candidates. A
+// history that outgrew it is dropped, and the next reoptimization folds every
+// statement again; plans do not depend on it. Unbounded, the history of a
+// 2,000-statement batch reached 3 GB and cost the collector more time than
+// the longer prefixes saved.
+const maxFoldCacheBytes = 64 << 20
 
 func mergeChoices(dst, src map[int]*Plan) map[int]*Plan {
 	if len(src) == 0 {
@@ -133,9 +151,11 @@ func (o *Optimizer) PrepareCSE(cands []*Candidate) {
 	o.Cands = cands
 	o.doms = memo.NewDominators(o.M, o.M.RootGroup)
 	o.affected = make(map[int]map[memo.GroupID]bool, len(cands))
-	o.altCache = make(map[memo.GroupID]map[string][]*Alt)
+	o.ord = make(map[int]int, len(cands))
+	o.ReleaseCaches()
 
-	for _, c := range cands {
+	for ord, c := range cands {
+		o.ord[c.ID] = ord
 		switch {
 		case o.ChargeAtRoot, c.StackUsed:
 			c.ChargeGroup = o.M.RootGroup
@@ -171,22 +191,19 @@ func (o *Optimizer) PrepareCSE(cands []*Candidate) {
 // independent classification).
 func (o *Optimizer) Doms() *memo.Dominators { return o.doms }
 
-// ReleaseCaches frees the per-group alternative caches built during CSE
-// reoptimization. The final plan keeps only the nodes it references.
+// ReleaseCaches frees the optimization history built during CSE
+// reoptimization: the per-group alternative caches and the fold caches. The
+// final plan keeps only the nodes it references.
 func (o *Optimizer) ReleaseCaches() {
 	o.altCache = make(map[memo.GroupID]map[string][]*Alt)
+	o.rootFold = nil
 }
 
 // enabledAt filters the enabled candidate set to those affecting group g.
 // This implements §5.4's history reuse: a group's alternatives depend only
 // on the candidates with consumers below it, so results are cached by that
-// reduced set and shared across enabled supersets. With NoHistoryReuse set
-// (ablation), the full enabled set is used everywhere, so no group result is
-// shared between reoptimizations and unaffected groups are recosted too.
+// reduced set and shared across enabled supersets.
 func (o *Optimizer) enabledAt(g memo.GroupID, enabled []int) []int {
-	if o.NoHistoryReuse {
-		return enabled
-	}
 	var out []int
 	for _, id := range enabled {
 		if o.affected[id][g] {
@@ -215,6 +232,9 @@ func (o *Optimizer) OptimizeWithCSEs(enabled []int) (*Result, []int, error) {
 	if o.doms == nil {
 		return nil, nil, fmt.Errorf("PrepareCSE must be called before OptimizeWithCSEs")
 	}
+	if o.NoHistoryReuse {
+		o.ReleaseCaches()
+	}
 	// Sort a copy: callers hold on to (and trace) their enabled slices, and
 	// reordering them in place here would corrupt that bookkeeping.
 	enabled = append([]int(nil), enabled...)
@@ -225,7 +245,7 @@ func (o *Optimizer) OptimizeWithCSEs(enabled []int) (*Result, []int, error) {
 	}
 	var best *Alt
 	for _, a := range alts {
-		if hasSingleUse(a.Uses) {
+		if a.Uses.hasSingleUse() {
 			continue
 		}
 		if best == nil || a.Cost < best.Cost {
@@ -237,8 +257,8 @@ func (o *Optimizer) OptimizeWithCSEs(enabled []int) (*Result, []int, error) {
 	}
 	// Leftover uses at the root (n >= 2 whose charge group is the root were
 	// charged there already; anything remaining is a bug).
-	if len(best.Uses) != 0 {
-		return nil, nil, fmt.Errorf("internal: uncharged CSE uses %v at batch root", best.Uses)
+	if best.Uses != noUses {
+		return nil, nil, fmt.Errorf("internal: uncharged CSE uses %s at batch root", o.describe(best.Uses))
 	}
 
 	res := &Result{Root: best.Plan, Cost: best.Cost, CSEs: map[int]*CSEPlan{}}
@@ -282,23 +302,7 @@ func (o *Optimizer) OptimizeWithCSEs(enabled []int) (*Result, []int, error) {
 	return res, usedIDs, nil
 }
 
-func (o *Optimizer) candByID(id int) *Candidate {
-	for _, c := range o.Cands {
-		if c.ID == id {
-			return c
-		}
-	}
-	return nil
-}
-
-func hasSingleUse(uses map[int]int) bool {
-	for _, n := range uses {
-		if n == 1 {
-			return true
-		}
-	}
-	return false
-}
+func (o *Optimizer) candByID(id int) *Candidate { return o.Cands[o.ord[id]] }
 
 // alts computes the pruned alternative set for a group under the enabled
 // candidates.
@@ -313,8 +317,10 @@ func (o *Optimizer) alts(id memo.GroupID, enabled []int) ([]*Alt, error) {
 	}
 	key := setKeyOf(local)
 	if cached, ok := o.altCache[id][key]; ok {
+		o.Work.AltCacheHits++
 		return cached, nil
 	}
+	o.Work.GroupsRecosted++
 	g := o.M.Group(id)
 	var out []*Alt
 
@@ -324,16 +330,18 @@ func (o *Optimizer) alts(id memo.GroupID, enabled []int) ([]*Alt, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, combo := range combos {
-			plans := make([]*Plan, len(combo))
-			for i, a := range combo {
-				plans[i] = a.Plan
+		for i := range combos {
+			c := &combos[i]
+			chain := c.alts(len(e.Children))
+			plans := make([]*Plan, len(chain))
+			for k, a := range chain {
+				plans[k] = a.Plan
 			}
 			p, err := o.planExpr(e, g, plans)
 			if err != nil {
 				return nil, err
 			}
-			alt := &Alt{Plan: p, Cost: 0}
+			alt := &Alt{Plan: p, Uses: c.uses}
 			// Cost: the op's own cost plus children alternative costs (the
 			// plan's Cost field uses child plan costs, which for alts with
 			// adjustments may differ — recompute as plan op delta).
@@ -342,9 +350,8 @@ func (o *Optimizer) alts(id memo.GroupID, enabled []int) ([]*Alt, error) {
 				opCost -= cp.Cost
 			}
 			total := opCost
-			for _, a := range combo {
+			for _, a := range chain {
 				total += a.Cost
-				alt.Uses = mergeUses(alt.Uses, a.Uses)
 				alt.Choices = mergeChoices(alt.Choices, a.Choices)
 			}
 			alt.Cost = total
@@ -364,7 +371,7 @@ func (o *Optimizer) alts(id memo.GroupID, enabled []int) ([]*Alt, error) {
 		out = append(out, &Alt{
 			Plan: p,
 			Cost: cost,
-			Uses: map[int]int{c.ID: 1},
+			Uses: oneUse(o.ord[cid], len(o.Cands)),
 		})
 	}
 
@@ -402,59 +409,141 @@ func (o *Optimizer) alts(id memo.GroupID, enabled []int) ([]*Alt, error) {
 	return out, nil
 }
 
-// childCombos builds the cross product of children alternative sets,
-// pruning incrementally to keep combination counts bounded.
-func (o *Optimizer) childCombos(e *memo.Expr, enabled []int) ([][]*Alt, error) {
-	combos := [][]*Alt{nil}
-	for _, cg := range e.Children {
-		childAlts, err := o.alts(cg, enabled)
+// childCombos folds the expression's children left to right into the pruned
+// cross product of their alternative sets. The batch root's fold over its
+// statements resumes from the longest prefix of children already folded
+// under the same enabled candidates, so toggling one candidate refolds from
+// the first statement it affects.
+func (o *Optimizer) childCombos(e *memo.Expr, enabled []int) ([]combo, error) {
+	combos := []combo{{}}
+	start := 0
+	var fc *foldCache
+	var keys []string
+	if e.Op == memo.OpSeq {
+		if o.rootFold != nil && o.rootFold.bytes > o.foldBound {
+			// The history outgrew its bound: drop it. This call folds every
+			// statement again and starts a new one.
+			o.rootFold = nil
+		}
+		fc = o.rootFoldCache(e)
+		keys = o.prefixKeys(fc, enabled)
+		for j := len(keys) - 1; j >= 0; j-- {
+			if cached, ok := fc.after[j][keys[j]]; ok {
+				combos, start = cached, j+1
+				break
+			}
+		}
+		o.Work.RootChildrenRefolded += len(e.Children) - start
+	}
+	for j := start; j < len(e.Children); j++ {
+		childAlts, err := o.alts(e.Children[j], enabled)
 		if err != nil {
 			return nil, err
 		}
-		var next [][]*Alt
-		for _, combo := range combos {
-			for _, a := range childAlts {
-				nc := make([]*Alt, len(combo)+1)
-				copy(nc, combo)
-				nc[len(combo)] = a
-				next = append(next, nc)
-			}
+		combos = o.extendCombos(combos, childAlts)
+		if fc != nil {
+			fc.after[j][keys[j]] = combos
+			fc.bytes += len(combos) * (comboBytes + len(o.Cands)*countBytes)
 		}
-		// Incremental pruning by combined cost/usage signature.
-		if len(next) > 4*o.AltCap {
-			next = o.pruneCombos(next)
-		}
-		combos = next
 	}
 	return combos, nil
 }
 
-func (o *Optimizer) pruneCombos(combos [][]*Alt) [][]*Alt {
-	type scored struct {
-		combo []*Alt
-		cost  float64
-		key   string
+// rootFoldCache returns the fold cache of the batch root's expression,
+// creating it on first use.
+func (o *Optimizer) rootFoldCache(e *memo.Expr) *foldCache {
+	if o.rootFold != nil {
+		return o.rootFold
 	}
-	items := make([]scored, len(combos))
-	for i, combo := range combos {
-		cost := 0.0
-		var uses map[int]int
-		for _, a := range combo {
-			cost += a.Cost
-			uses = mergeUses(uses, a.Uses)
+	n := len(e.Children)
+	fc := &foldCache{first: make([]int, len(o.Cands)), after: make([]map[string][]combo, n)}
+	for ord, c := range o.Cands {
+		fc.first[ord] = n
+		for j, cg := range e.Children {
+			if o.affected[c.ID][cg] {
+				fc.first[ord] = j
+				break
+			}
 		}
-		items[i] = scored{combo, cost, (&Alt{Uses: uses}).usesKey()}
 	}
-	sort.Slice(items, func(i, j int) bool { return items[i].cost < items[j].cost })
-	seen := make(map[string]bool)
-	var out [][]*Alt
-	for _, it := range items {
-		if seen[it.key] {
+	for j := range fc.after {
+		fc.after[j] = make(map[string][]combo)
+	}
+	o.rootFold = fc
+	return fc
+}
+
+// prefixKeys returns, for each child index j, the key of the enabled
+// candidates that affect children 0..j — all the fold state after child j
+// depends on, by the same argument as enabledAt. The ids are rendered in
+// order of first affected child, so every key is a prefix of one string.
+func (o *Optimizer) prefixKeys(fc *foldCache, enabled []int) []string {
+	ids := append([]int(nil), enabled...)
+	sort.SliceStable(ids, func(a, b int) bool { return fc.first[o.ord[ids[a]]] < fc.first[o.ord[ids[b]]] })
+	var sb strings.Builder
+	cut := make([]int, len(fc.after))
+	next := 0
+	for j := range cut {
+		for ; next < len(ids) && fc.first[o.ord[ids[next]]] <= j; next++ {
+			sb.WriteString(strconv.Itoa(ids[next]))
+			sb.WriteByte(',')
+		}
+		cut[j] = sb.Len()
+	}
+	keys := make([]string, len(cut))
+	for j, n := range cut {
+		keys[j] = sb.String()[:n]
+	}
+	return keys
+}
+
+// extension names one member of the cross product of the combinations so
+// far and the next child's alternatives. It holds no pointer, so the prune
+// step sorts a flat array the garbage collector never looks at.
+type extension struct {
+	cost       float64
+	combo, alt int32
+}
+
+// extendCombos extends every combination by every alternative of the next
+// child, combination-major. Once the product outgrows 4×AltCap it is pruned
+// to the cheapest extension per usage signature, capped at 4×AltCap; the
+// signature of an extension is formed only when that walk reaches it.
+func (o *Optimizer) extendCombos(combos []combo, childAlts []*Alt) []combo {
+	exts := o.extBuf[:0]
+	for i := range combos {
+		for j, a := range childAlts {
+			exts = append(exts, extension{cost: combos[i].cost + a.Cost, combo: int32(i), alt: int32(j)})
+		}
+	}
+	o.extBuf = exts
+	build := func(x extension) combo {
+		prev, alt := &combos[x.combo], childAlts[x.alt]
+		return combo{prev: prev, alt: alt, cost: x.cost, uses: prev.uses.add(alt.Uses)}
+	}
+	limit := 4 * o.AltCap
+	if len(exts) <= limit {
+		out := make([]combo, len(exts))
+		for i, x := range exts {
+			out[i] = build(x)
+		}
+		return out
+	}
+	slices.SortFunc(exts, func(a, b extension) int { return cmp.Compare(a.cost, b.cost) })
+	if o.seenUses == nil {
+		o.seenUses = make(map[usage]bool, limit)
+	}
+	seen := o.seenUses
+	clear(seen)
+	out := make([]combo, 0, limit+1)
+	for _, x := range exts {
+		c := build(x)
+		if seen[c.uses] {
 			continue
 		}
-		seen[it.key] = true
-		out = append(out, it.combo)
-		if len(out) >= 4*o.AltCap {
+		seen[c.uses] = true
+		out = append(out, c)
+		if len(out) >= limit {
 			break
 		}
 	}
@@ -463,10 +552,10 @@ func (o *Optimizer) pruneCombos(combos [][]*Alt) [][]*Alt {
 	// CSE-using combos only; chargeCandidate then discards single-use
 	// alternatives and a group can end up with no viable alternative at all,
 	// failing the whole optimization with "no valid plan".
-	if !seen[""] {
-		for _, it := range items {
-			if it.key == "" {
-				out = append(out, it.combo)
+	if !seen[noUses] {
+		for _, x := range exts {
+			if combos[x.combo].uses == noUses && childAlts[x.alt].Uses == noUses {
+				out = append(out, build(x))
 				break
 			}
 		}
@@ -478,18 +567,17 @@ func (o *Optimizer) pruneCombos(combos [][]*Alt) [][]*Alt {
 // always retains the cheapest CSE-free alternative.
 func (o *Optimizer) pruneAlts(alts []*Alt) []*Alt {
 	sort.Slice(alts, func(i, j int) bool { return alts[i].Cost < alts[j].Cost })
-	seen := make(map[string]bool)
+	seen := make(map[usage]bool)
 	var out []*Alt
 	var clean *Alt
 	for _, a := range alts {
-		if len(a.Uses) == 0 && clean == nil {
+		if a.Uses == noUses && clean == nil {
 			clean = a
 		}
-		key := a.usesKey()
-		if seen[key] {
+		if seen[a.Uses] {
 			continue
 		}
-		seen[key] = true
+		seen[a.Uses] = true
 		if len(out) < o.AltCap {
 			out = append(out, a)
 		}
@@ -576,7 +664,7 @@ func (o *Optimizer) buildSubstitute(c *Candidate, consumer *memo.Group, sub *Sub
 // usages the expression plan itself carries.
 type chargeOption struct {
 	initCost  float64
-	extraUses map[int]int
+	extraUses usage
 	choices   map[int]*Plan
 	exprPlan  *Plan
 }
@@ -594,7 +682,7 @@ func (o *Optimizer) chargeOptions(c *Candidate, enabled []int) ([]chargeOption, 
 		if best == nil || a.Cost < best.Cost {
 			best = a
 		}
-		if len(a.Uses) == 0 && len(a.Choices) == 0 && (clean == nil || a.Cost < clean.Cost) {
+		if a.Uses == noUses && len(a.Choices) == 0 && (clean == nil || a.Cost < clean.Cost) {
 			clean = a
 		}
 	}
@@ -662,8 +750,9 @@ func layoutEqual(a, b []scalar.ColID) bool {
 func (o *Optimizer) chargeCandidate(alts []*Alt, c *Candidate, enabled []int) ([]*Alt, error) {
 	var opts []chargeOption
 	var out []*Alt
+	ord := o.ord[c.ID]
 	for _, a := range alts {
-		n := a.Uses[c.ID]
+		n := a.Uses.count(ord)
 		switch {
 		case n == 0:
 			out = append(out, a)
@@ -677,20 +766,16 @@ func (o *Optimizer) chargeCandidate(alts []*Alt, c *Candidate, enabled []int) ([
 					return nil, err
 				}
 			}
+			rest := a.Uses.without(ord)
 			for _, opt := range opts {
-				uses := make(map[int]int, len(a.Uses)+len(opt.extraUses))
-				for id, k := range a.Uses {
-					if id != c.ID {
-						uses[id] = k
-					}
-				}
-				uses = mergeUses(uses, opt.extraUses)
-				choices := mergeChoices(mergeChoices(nil, a.Choices), opt.choices)
-				choices = mergeChoices(choices, map[int]*Plan{c.ID: opt.exprPlan})
+				choices := make(map[int]*Plan, len(a.Choices)+len(opt.choices)+1)
+				mergeChoices(choices, a.Choices)
+				mergeChoices(choices, opt.choices)
+				choices[c.ID] = opt.exprPlan
 				out = append(out, &Alt{
 					Plan:    a.Plan,
 					Cost:    a.Cost + opt.initCost,
-					Uses:    uses,
+					Uses:    rest.add(opt.extraUses),
 					Choices: choices,
 				})
 			}

@@ -12,37 +12,11 @@ import (
 	"repro/internal/tpch"
 )
 
-func TestAltUsesKey(t *testing.T) {
-	a := &Alt{Uses: map[int]int{2: 1, 0: 3}}
-	b := &Alt{Uses: map[int]int{0: 3, 2: 1}}
-	if a.usesKey() != b.usesKey() {
-		t.Error("usage keys must be order-independent")
-	}
-	if (&Alt{}).usesKey() != "" {
-		t.Error("empty uses → empty key")
-	}
-	c := &Alt{Uses: map[int]int{0: 2, 2: 1}}
-	if a.usesKey() == c.usesKey() {
-		t.Error("different counts must produce different keys")
-	}
-}
-
-func TestMergeUses(t *testing.T) {
-	dst := mergeUses(nil, map[int]int{1: 2})
-	dst = mergeUses(dst, map[int]int{1: 1, 3: 1})
-	if dst[1] != 3 || dst[3] != 1 {
-		t.Errorf("mergeUses = %v", dst)
-	}
-	if mergeUses(nil, nil) != nil {
-		t.Error("merging nothing stays nil")
-	}
-}
-
 func TestPruneAlts(t *testing.T) {
 	o := NewOptimizer(memo.NewMemo(nil))
 	o.AltCap = 2
 	mk := func(cost float64, uses map[int]int) *Alt {
-		return &Alt{Plan: &Plan{}, Cost: cost, Uses: uses}
+		return &Alt{Plan: &Plan{}, Cost: cost, Uses: usageOf(3, uses)}
 	}
 	alts := []*Alt{
 		mk(10, map[int]int{1: 2}),
@@ -52,22 +26,22 @@ func TestPruneAlts(t *testing.T) {
 		mk(20, map[int]int{1: 1, 2: 1}),
 	}
 	out := o.pruneAlts(alts)
-	// Cheapest per usage key survives; the cap is 2 but the clean
+	// Cheapest per usage signature survives; the cap is 2 but the clean
 	// alternative is always retained.
 	foundClean := false
-	keyCount := map[string]int{}
+	perUsage := map[usage]int{}
 	for _, a := range out {
-		keyCount[a.usesKey()]++
-		if len(a.Uses) == 0 {
+		perUsage[a.Uses]++
+		if a.Uses == noUses {
 			foundClean = true
 		}
 	}
 	if !foundClean {
 		t.Error("the CSE-free alternative must always survive pruning")
 	}
-	for k, n := range keyCount {
+	for u, n := range perUsage {
 		if n > 1 {
-			t.Errorf("usage key %q kept %d alternatives", k, n)
+			t.Errorf("usage signature %v kept %d alternatives", countsOf(u, 3), n)
 		}
 	}
 	for _, a := range out {
@@ -77,18 +51,6 @@ func TestPruneAlts(t *testing.T) {
 	}
 	if len(out) > o.AltCap+1 {
 		t.Errorf("pruned to %d alternatives, cap %d (+clean)", len(out), o.AltCap)
-	}
-}
-
-func TestHasSingleUse(t *testing.T) {
-	if hasSingleUse(map[int]int{1: 2, 2: 3}) {
-		t.Error("no single use here")
-	}
-	if !hasSingleUse(map[int]int{1: 2, 2: 1}) {
-		t.Error("candidate 2 is used once")
-	}
-	if hasSingleUse(nil) {
-		t.Error("empty uses")
 	}
 }
 
@@ -183,9 +145,9 @@ func TestChargeCandidateAccounting(t *testing.T) {
 	}
 
 	alts := []*Alt{
-		{Plan: &Plan{}, Cost: 100, Uses: nil},                    // no use: kept as-is
-		{Plan: &Plan{}, Cost: 50, Uses: map[int]int{cand.ID: 1}}, // single use: discarded
-		{Plan: &Plan{}, Cost: 60, Uses: map[int]int{cand.ID: 2}}, // charged once
+		{Plan: &Plan{}, Cost: 100, Uses: noUses},                             // no use: kept as-is
+		{Plan: &Plan{}, Cost: 50, Uses: usageOf(1, map[int]int{cand.ID: 1})}, // single use: discarded
+		{Plan: &Plan{}, Cost: 60, Uses: usageOf(1, map[int]int{cand.ID: 2})}, // charged once
 	}
 	out, err := o.chargeCandidate(alts, cand, []int{cand.ID})
 	if err != nil {
@@ -202,7 +164,7 @@ func TestChargeCandidateAccounting(t *testing.T) {
 	if diff := charged.Cost - wantCost; diff > 1e-6 || diff < -1e-6 {
 		t.Errorf("charged cost = %g, want %g (usage 60 + initial %g)", charged.Cost, wantCost, init)
 	}
-	if _, still := charged.Uses[cand.ID]; still {
+	if charged.Uses != noUses {
 		t.Error("the candidate's usage entry must be settled after charging")
 	}
 	if charged.Choices[cand.ID] == nil {

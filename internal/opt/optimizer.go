@@ -23,6 +23,27 @@ type Winner struct {
 	Upper float64
 }
 
+// CSEWork counts the work done by CSE reoptimizations: a reoptimization that
+// reuses history recosts only what its enabled set changed.
+type CSEWork struct {
+	// GroupsRecosted is the number of groups whose alternatives were
+	// computed; AltCacheHits the number answered from optimization history.
+	GroupsRecosted int
+	AltCacheHits   int
+	// RootChildrenRefolded is the number of statements folded into the batch
+	// root's combinations (all of them on every call without history).
+	RootChildrenRefolded int
+}
+
+// Sub returns the work done since an earlier reading.
+func (w CSEWork) Sub(earlier CSEWork) CSEWork {
+	return CSEWork{
+		GroupsRecosted:       w.GroupsRecosted - earlier.GroupsRecosted,
+		AltCacheHits:         w.AltCacheHits - earlier.AltCacheHits,
+		RootChildrenRefolded: w.RootChildrenRefolded - earlier.RootChildrenRefolded,
+	}
+}
+
 // Optimizer costs memo groups and runs the CSE optimization phase.
 type Optimizer struct {
 	M *memo.Memo
@@ -33,10 +54,16 @@ type Optimizer struct {
 	altMemo map[*memo.Expr][]*Plan
 
 	// CSE phase state (populated by PrepareCSE).
-	Cands    []*Candidate
-	doms     *memo.Dominators
-	affected map[int]map[memo.GroupID]bool
-	altCache map[memo.GroupID]map[string][]*Alt
+	Cands     []*Candidate
+	doms      *memo.Dominators
+	ord       map[int]int // candidate ID → ordinal in Cands
+	affected  map[int]map[memo.GroupID]bool
+	altCache  map[memo.GroupID]map[string][]*Alt
+	rootFold  *foldCache
+	foldBound int // maxFoldCacheBytes, lowered by tests
+	// Scratch of extendCombos, reused across fold steps.
+	extBuf   []extension
+	seenUses map[usage]bool
 
 	// AltCap bounds the alternatives kept per group during CSE
 	// reoptimization.
@@ -48,24 +75,30 @@ type Optimizer struct {
 	ChargeAtRoot bool
 
 	// NoHistoryReuse is an ablation switch: disable §5.4's optimization
-	// history reuse, so every reoptimization recosts every group instead of
-	// sharing per-group alternatives across enabled sets.
+	// history reuse, so every reoptimization starts from empty caches and
+	// recosts every group an enabled candidate affects, sharing nothing with
+	// the reoptimizations before it. The plans it returns are the same; it is
+	// the from-scratch oracle the incremental path is tested against.
 	NoHistoryReuse bool
 
 	// Stats counters.
 	GroupsCosted int
+
+	// Work counts what the OptimizeWithCSEs calls so far had to do.
+	Work CSEWork
 }
 
 // NewOptimizer returns an optimizer over the memo.
 func NewOptimizer(m *memo.Memo) *Optimizer {
 	return &Optimizer{
-		M:        m,
-		base:     make(map[memo.GroupID]*Winner),
-		ordered:  make(map[memo.GroupID]map[string]*Winner),
-		upper:    make(map[memo.GroupID]float64),
-		altMemo:  make(map[*memo.Expr][]*Plan),
-		altCache: make(map[memo.GroupID]map[string][]*Alt),
-		AltCap:   8,
+		M:       m,
+		base:    make(map[memo.GroupID]*Winner),
+		ordered: make(map[memo.GroupID]map[string]*Winner),
+		upper:   make(map[memo.GroupID]float64),
+		altMemo: make(map[*memo.Expr][]*Plan),
+
+		foldBound: maxFoldCacheBytes,
+		AltCap:    8,
 	}
 }
 
