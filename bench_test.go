@@ -1,17 +1,13 @@
 package repro_test
 
-// Benchmarks regenerating the paper's evaluation (§6): one benchmark per
-// table and figure, each with a sub-benchmark per optimizer mode, so
+// Benchmarks of what cmd/csebench does not run: the optimizer-effort
+// ablations of DESIGN.md and one greedy move of the subset search.
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench 'BenchmarkAblation|BenchmarkGreedyMove' -benchmem .
 //
-// reports the execution-time columns of every table. Custom metrics carry
-// the remaining columns: opt-ms (optimization time), est-cost (estimated
-// cost), cands (candidate CSEs) and cse-opts (CSE reoptimizations).
-//
-// The dataset defaults to scale factor 0.05 (the paper used TPC-H SF=1 on
-// 2007 hardware); set -benchtime and the CSEDB_SF environment variable to
-// push the scale up.
+// The ablations default to scale factor 0.05; set the CSEDB_SF environment
+// variable to change it. The paper's tables and figures are regenerated by
+// cmd/csebench, and end-to-end speed is measured by the benchmark program.
 
 import (
 	"os"
@@ -32,139 +28,6 @@ func benchConfig() bench.Config {
 		}
 	}
 	return cfg
-}
-
-// benchBatch measures a batch under each mode. Databases are rebuilt per
-// iteration set (outside the timer); each iteration re-optimizes and
-// re-executes the batch, which is what the paper's numbers time.
-func benchBatch(b *testing.B, sql string) {
-	cfg := benchConfig()
-	for _, mode := range []bench.Mode{bench.NoCSE, bench.WithCSE, bench.NoHeuristics} {
-		mode := mode
-		b.Run(mode.String(), func(b *testing.B) {
-			db, err := bench.NewDB(cfg, mode)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var optNs, cands, cseOpts int64
-			var est float64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := db.Run(sql)
-				if err != nil {
-					b.Fatal(err)
-				}
-				optNs += res.OptimizeTime.Nanoseconds()
-				est = res.EstimatedCost
-				cands = int64(res.Stats.Candidates)
-				cseOpts = int64(res.Stats.CSEOptimizations)
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(optNs)/float64(b.N)/1e6, "opt-ms/op")
-			b.ReportMetric(est, "est-cost")
-			b.ReportMetric(float64(cands), "cands")
-			b.ReportMetric(float64(cseOpts), "cse-opts")
-		})
-	}
-}
-
-// BenchmarkTable1QueryBatch reproduces Table 1: the Example 1 batch
-// (Q1, Q2, Q3).
-func BenchmarkTable1QueryBatch(b *testing.B) { benchBatch(b, bench.Table1SQL()) }
-
-// BenchmarkTable2StackedCSE reproduces Table 2: Q1–Q4 with stacked CSEs
-// (§6.2).
-func BenchmarkTable2StackedCSE(b *testing.B) { benchBatch(b, bench.Table2SQL()) }
-
-// BenchmarkTable3NestedQuery reproduces Table 3: the TPC-H Q11-like nested
-// query (§6.3).
-func BenchmarkTable3NestedQuery(b *testing.B) { benchBatch(b, bench.Table3SQL()) }
-
-// BenchmarkTable4ComplexJoins reproduces Table 4: two 8-table joins (§6.5).
-func BenchmarkTable4ComplexJoins(b *testing.B) { benchBatch(b, bench.Table4SQL()) }
-
-// BenchmarkFigure8Scaleup reproduces Figure 8: batches of 2..10 similar
-// queries; per batch size, the CSE-optimized execution is timed and the
-// estimated-cost series is attached as metrics.
-func BenchmarkFigure8Scaleup(b *testing.B) {
-	cfg := benchConfig()
-	for n := 2; n <= 10; n += 2 {
-		sql := bench.Figure8SQL(n)
-		b.Run("queries="+strconv.Itoa(n), func(b *testing.B) {
-			dbOff, err := bench.NewDB(cfg, bench.NoCSE)
-			if err != nil {
-				b.Fatal(err)
-			}
-			dbOn, err := bench.NewDB(cfg, bench.WithCSE)
-			if err != nil {
-				b.Fatal(err)
-			}
-			off, err := dbOff.Run(sql)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var costOn, optNs float64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := dbOn.Run(sql)
-				if err != nil {
-					b.Fatal(err)
-				}
-				costOn = res.EstimatedCost
-				optNs += float64(res.OptimizeTime.Nanoseconds())
-			}
-			b.StopTimer()
-			b.ReportMetric(off.EstimatedCost, "est-cost-nocse")
-			b.ReportMetric(costOn, "est-cost-cse")
-			b.ReportMetric(optNs/float64(b.N)/1e6, "opt-ms/op")
-		})
-	}
-}
-
-// BenchmarkViewMaintenance reproduces §6.4: three materialized views
-// maintained jointly after an insert into customer. Each op includes the
-// unavoidable fresh-database setup (maintenance mutates the views), so the
-// maintenance time itself is reported as the maint-ms metric.
-func BenchmarkViewMaintenance(b *testing.B) {
-	cfg := benchConfig()
-	for _, mode := range []bench.Mode{bench.NoCSE, bench.WithCSE} {
-		mode := mode
-		b.Run(mode.String(), func(b *testing.B) {
-			var maintNs float64
-			for i := 0; i < b.N; i++ {
-				m, err := bench.RunViewMaintenance(cfg, mode, 200)
-				if err != nil {
-					b.Fatal(err)
-				}
-				maintNs += float64(m.ExecTime.Nanoseconds())
-			}
-			b.ReportMetric(maintNs/float64(b.N)/1e6, "maint-ms/op")
-		})
-	}
-}
-
-// BenchmarkSignatureOverhead quantifies the §6 claim that collecting table
-// signatures on queries with no sharing opportunities has unmeasurable
-// overhead: it times optimization of an unrelated-query batch with the CSE
-// machinery off and on.
-func BenchmarkSignatureOverhead(b *testing.B) {
-	cfg := benchConfig()
-	sql := bench.NoSharingSQL()
-	for _, mode := range []bench.Mode{bench.NoCSE, bench.WithCSE} {
-		mode := mode
-		b.Run(mode.String(), func(b *testing.B) {
-			db, err := bench.NewDB(cfg, mode)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := db.Optimize(sql); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // optimizeOnly times just the optimization phase of a batch under given

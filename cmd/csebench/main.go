@@ -9,9 +9,11 @@
 // Experiments: table1 (query batch Q1–Q3), table2 (stacked CSEs, Q1–Q4),
 // table3 (nested query), table4 (complex 8-table joins), figure8 (scale-up
 // sweep), viewmaint (§6.4), overhead (no-sharing optimizer overhead),
-// crossover (lattice-vs-greedy MQO search over batch sizes 4→N), scanspeed
-// (columnar plane vs row-at-a-time path on scan/filter/agg statements),
-// serving (many-client load through the coalescing server, on vs off).
+// crossover (lattice-vs-greedy MQO search over batch sizes 4→N).
+//
+// End-to-end speed is measured by the benchmark program (go run ./benchmark),
+// not here; the optimizer ablations are the root package's
+// BenchmarkAblation* benchmarks.
 package main
 
 import (
@@ -21,77 +23,47 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"time"
 
-	"repro/csedb"
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/obs"
 )
 
 func main() {
 	var (
-		exp          = flag.String("exp", "all", "experiment: table1|table2|table3|table4|figure8|viewmaint|overhead|ablation|repeated|crossover|scanspeed|serving|all")
-		sf           = flag.Float64("sf", 0.05, "TPC-H scale factor (1.0 = paper's 1GB)")
-		seed         = flag.Int64("seed", 42, "data generation seed")
-		reps         = flag.Int("reps", 0, "measurement repetitions per point (0 = default 3); 1 speeds up smoke runs")
-		maxN         = flag.Int("figure8-max", 10, "largest batch size for figure8")
-		crossMax     = flag.Int("crossover-max", 64, "largest batch size for the lattice-vs-greedy crossover sweep")
-		search       = flag.String("search", "auto", "MQO subset-search strategy for table experiments: auto|lattice|greedy")
-		deltaN       = flag.Int("delta-rows", 200, "delta rows for view maintenance")
-		verbose      = flag.Bool("v", false, "print candidate CSE details")
-		format       = flag.String("format", "text", "output format: text|csv|json")
-		parallelism  = flag.Int("parallelism", 0, "executor worker pool: 0=GOMAXPROCS (parallel, default), 1=sequential, n>1=n workers")
-		traceJSON    = flag.String("trace-json", "", "enable optimizer tracing and write the last table experiment's CSE-run trace as JSON to this file")
-		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile of the benchmark run to this file")
-		memProfile   = flag.String("memprofile", "", "write an allocation profile (taken at exit) to this file")
-		debugSmoke   = flag.Bool("debug-smoke", false, "run the observability smoke instead of experiments: start the debug server, run a batch twice, scrape /metrics and /trace/last, and assert the phase histograms are populated")
-		metricsOut   = flag.String("metrics-out", "", "with -debug-smoke, write the scraped /metrics text to this file")
-		chromeTrace  = flag.String("chrome-trace", "", "with -debug-smoke, write the /trace/last Chrome trace to this file")
-		servClients  = flag.Int("serving-clients", 0, "serving experiment: concurrent client sessions (0 = default 12)")
-		servRequests = flag.Int("serving-requests", 0, "serving experiment: requests per client (0 = default 40)")
-		servShapes   = flag.Int("serving-shapes", 0, "serving experiment: distinct query shapes (0 = default 6)")
-		servWindow   = flag.Duration("serving-window", 0, "serving experiment: coalescing window (0 = server default)")
+		exp         = flag.String("exp", "all", "experiment: table1|table2|table3|table4|figure8|viewmaint|overhead|crossover|all")
+		sf          = flag.Float64("sf", 0.05, "TPC-H scale factor (1.0 = paper's 1GB)")
+		seed        = flag.Int64("seed", 42, "data generation seed")
+		reps        = flag.Int("reps", 0, "measurement repetitions per point (0 = default 3); 1 speeds up smoke runs")
+		maxN        = flag.Int("figure8-max", 10, "largest batch size for figure8")
+		crossMax    = flag.Int("crossover-max", 64, "largest batch size for the lattice-vs-greedy crossover sweep")
+		search      = flag.String("search", "auto", "MQO subset-search strategy for table experiments: auto|lattice|greedy")
+		deltaN      = flag.Int("delta-rows", 200, "delta rows for view maintenance")
+		verbose     = flag.Bool("v", false, "print candidate CSE details")
+		format      = flag.String("format", "text", "output format: text|csv")
+		parallelism = flag.Int("parallelism", 0, "executor worker pool: 0=GOMAXPROCS (parallel, default), 1=sequential, n>1=n workers")
+		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the benchmark run to this file")
+		memProfile  = flag.String("memprofile", "", "write an allocation profile (taken at exit) to this file")
 	)
 	flag.Parse()
 
-	if *debugSmoke {
-		if err := runDebugSmoke(*sf, *seed, *metricsOut, *chromeTrace); err != nil {
-			fmt.Fprintf(os.Stderr, "csebench: debug-smoke: %v\n", err)
-			os.Exit(1)
-		}
-		return
+	if *format != "text" && *format != "csv" {
+		fmt.Fprintf(os.Stderr, "csebench: unknown -format %q (want text or csv)\n", *format)
+		os.Exit(2)
 	}
-
+	strategy, err := core.ParseSearchStrategy(*search)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "csebench: -search: %v\n", err)
+		os.Exit(2)
+	}
 	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "csebench: %v\n", err)
 		os.Exit(2)
 	}
 
-	switch *format {
-	case "text", "csv", "json":
-	default:
-		fmt.Fprintf(os.Stderr, "csebench: unknown -format %q (want text, csv, or json)\n", *format)
-		os.Exit(2)
-	}
-
-	strategy, err := core.ParseSearchStrategy(*search)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "csebench: -search: %v\n", err)
-		os.Exit(2)
-	}
-
-	cfg := bench.Config{ScaleFactor: *sf, Seed: *seed, Reps: *reps, Parallelism: *parallelism, Tracing: *traceJSON != "", Search: strategy}
-	asJSON := *format == "json"
-	jsonOut := map[string]any{
-		"scale_factor": *sf,
-		"seed":         *seed,
-		"parallelism":  *parallelism,
-	}
-	if !asJSON {
-		fmt.Printf("csebench: TPC-H scale factor %g, seed %d\n\n", *sf, *seed)
-	}
+	cfg := bench.Config{ScaleFactor: *sf, Seed: *seed, Reps: *reps, Parallelism: *parallelism, Search: strategy}
+	asCSV := *format == "csv"
+	fmt.Printf("csebench: TPC-H scale factor %g, seed %d\n\n", *sf, *seed)
 
 	run := func(name string) bool {
 		return *exp == "all" || *exp == name
@@ -101,7 +73,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "error: %v\n", err)
 		failed = true
 	}
-	var lastTrace *obs.Trace
 	table := func(name, title, sql string) {
 		if !run(name) {
 			return
@@ -110,18 +81,11 @@ func main() {
 		switch {
 		case err != nil:
 			report(err)
-		case asJSON:
-			jsonOut[name] = tr.JSONObject()
-		case *format == "csv":
+		case asCSV:
 			fmt.Printf("# %s\n%s", name, tr.CSV())
 		default:
 			fmt.Println(tr.Format())
 			printCandidates(*verbose, tr)
-		}
-		if err == nil && *traceJSON != "" {
-			if m := tr.Runs[bench.WithCSE]; m != nil && m.Trace != nil {
-				lastTrace = m.Trace
-			}
 		}
 	}
 
@@ -134,9 +98,7 @@ func main() {
 		switch {
 		case err != nil:
 			report(err)
-		case asJSON:
-			jsonOut["figure8"] = bench.Figure8JSONObjects(points)
-		case *format == "csv":
+		case asCSV:
 			fmt.Print(bench.CSVFigure8(points))
 		default:
 			fmt.Println(bench.FormatFigure8(points))
@@ -148,22 +110,8 @@ func main() {
 			report(err)
 		} else if with, err := bench.RunViewMaintenance(cfg, bench.WithCSE, *deltaN); err != nil {
 			report(err)
-		} else if asJSON {
-			jsonOut["viewmaint"] = map[string]any{
-				"no_cse_exec_s": no.ExecTime.Seconds(),
-				"cse_exec_s":    with.ExecTime.Seconds(),
-				"candidates":    with.Candidates,
-				"views":         with.Views,
-			}
 		} else {
 			fmt.Println(bench.FormatMaintenance(no, with))
-		}
-	}
-	if run("ablation") {
-		if asJSON {
-			fmt.Fprintln(os.Stderr, "skipping ablation: text output only")
-		} else if err := runAblations(cfg); err != nil {
-			report(err)
 		}
 	}
 	if run("crossover") {
@@ -171,89 +119,20 @@ func main() {
 		switch {
 		case err != nil:
 			report(err)
-		case asJSON:
-			jsonOut["crossover"] = bench.CrossoverJSONObjects(points)
-		case *format == "csv":
+		case asCSV:
 			fmt.Print(bench.CSVCrossover(points))
 		default:
 			fmt.Println(bench.FormatCrossover(points))
 		}
 	}
-	if run("scanspeed") {
-		points, err := bench.RunScanSpeed(cfg)
-		switch {
-		case err != nil:
-			report(err)
-		case asJSON:
-			jsonOut["scanspeed"] = bench.ScanSpeedJSONObjects(points)
-		case *format == "csv":
-			fmt.Print(bench.CSVScanSpeed(points))
-		default:
-			fmt.Println(bench.FormatScanSpeed(points))
-		}
-	}
-	if run("serving") {
-		points, err := bench.RunServing(cfg, bench.ServingOptions{
-			Clients:           *servClients,
-			RequestsPerClient: *servRequests,
-			Shapes:            *servShapes,
-			Window:            *servWindow,
-		})
-		switch {
-		case err != nil:
-			report(err)
-		case asJSON:
-			jsonOut["serving"] = bench.ServingJSONObjects(points)
-		default:
-			fmt.Println(bench.FormatServing(points))
-		}
-	}
-	if run("repeated") {
-		rm, err := bench.RunRepeated(cfg, bench.Table1SQL())
-		switch {
-		case err != nil:
-			report(err)
-		case asJSON:
-			jsonOut["repeated"] = rm.JSONObject()
-		default:
-			fmt.Println(rm.FormatRepeated())
-		}
-	}
 	if run("overhead") {
-		ov, err := bench.RunOverhead(cfg)
-		if err != nil {
+		if ov, err := bench.RunOverhead(cfg); err != nil {
 			report(err)
-		} else if asJSON {
-			jsonOut["overhead"] = map[string]any{
-				"opt_s_no_cse":   ov.OptNoCSE.Seconds(),
-				"opt_s_with_cse": ov.OptWithCSE.Seconds(),
-				"candidates":     ov.Candidates,
-			}
 		} else {
 			fmt.Printf("Overhead on a batch with no sharable subexpressions:\n")
 			fmt.Printf("  optimization time, CSE machinery off: %.4fs\n", ov.OptNoCSE.Seconds())
 			fmt.Printf("  optimization time, CSE machinery on:  %.4fs\n", ov.OptWithCSE.Seconds())
 			fmt.Printf("  candidates generated: %d\n\n", ov.Candidates)
-		}
-	}
-	if asJSON && !failed {
-		data, err := bench.MarshalReport(jsonOut)
-		if err != nil {
-			report(err)
-		} else {
-			fmt.Println(string(data))
-		}
-	}
-	if *traceJSON != "" && !failed {
-		if lastTrace == nil {
-			fmt.Fprintln(os.Stderr, "csebench: -trace-json set but no table experiment produced an optimizer trace")
-			failed = true
-		} else if data, err := lastTrace.JSON(); err != nil {
-			report(err)
-		} else if err := os.WriteFile(*traceJSON, append(data, '\n'), 0o644); err != nil {
-			report(err)
-		} else if !asJSON {
-			fmt.Printf("optimizer trace (%d events) written to %s\n", lastTrace.Len(), *traceJSON)
 		}
 	}
 	// Stop profiles explicitly: os.Exit skips deferred calls.
@@ -319,68 +198,4 @@ func printCandidates(verbose bool, tr *bench.TableRow) {
 		}
 	}
 	fmt.Println()
-}
-
-// runAblations times the optimizer-effort knobs of DESIGN.md on Table 1's
-// no-heuristics run and Table 2's heuristics run.
-func runAblations(cfg bench.Config) error {
-	measure := func(label, sql string, tweak func(*core.Settings)) error {
-		s := core.DefaultSettings()
-		tweak(&s)
-		db := csedb.Open(csedb.Options{CSE: &s})
-		if err := db.LoadTPCH(cfg.ScaleFactor, cfg.Seed); err != nil {
-			return err
-		}
-		var best time.Duration
-		var opts int
-		for i := 0; i < 3; i++ {
-			start := time.Now()
-			out, _, err := db.Optimize(sql)
-			if err != nil {
-				return err
-			}
-			d := time.Since(start)
-			if i == 0 || d < best {
-				best = d
-			}
-			opts = out.Stats.CSEOptimizations
-		}
-		fmt.Printf("  %-44s %10.4fs  [%d reoptimizations]\n", label, best.Seconds(), opts)
-		return nil
-	}
-	fmt.Println("Ablations (optimization time, min of 3):")
-	cases := []struct {
-		label, sql string
-		tweak      func(*core.Settings)
-	}{
-		{"subset pruning: exhaustive 2^N-1", bench.Table1SQL(), func(s *core.Settings) {
-			s.Heuristics = false
-			s.SubsetPruning = false
-		}},
-		{"subset pruning: Propositions 5.4-5.6", bench.Table1SQL(), func(s *core.Settings) {
-			s.Heuristics = false
-		}},
-		{"subset pruning: interval rule (extension)", bench.Table1SQL(), func(s *core.Settings) {
-			s.Heuristics = false
-			s.ExtendedSubsetPruning = true
-		}},
-		{"history reuse on (§5.4)", bench.Table1SQL(), func(s *core.Settings) {
-			s.Heuristics = false
-		}},
-		{"history reuse off", bench.Table1SQL(), func(s *core.Settings) {
-			s.Heuristics = false
-			s.NoHistoryReuse = true
-		}},
-		{"charge at common dominator (§5.2 LCA)", bench.Table2SQL(), func(s *core.Settings) {}},
-		{"charge at batch root", bench.Table2SQL(), func(s *core.Settings) {
-			s.ChargeAtRoot = true
-		}},
-	}
-	for _, c := range cases {
-		if err := measure(c.label, c.sql, c.tweak); err != nil {
-			return err
-		}
-	}
-	fmt.Println()
-	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -161,8 +162,12 @@ func TestDebugServer(t *testing.T) {
 		t.Errorf("/trace/last before any batch = %d, want 404", code)
 	}
 
-	if _, err := db.Run(bench.Table2SQL()); err != nil {
-		t.Fatal(err)
+	// Run the batch twice: the second run finds its spools through the
+	// result-cache lookup.
+	for i := 0; i < 2; i++ {
+		if _, err := db.Run(bench.Table2SQL()); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	code, body := get("/metrics")
@@ -171,13 +176,19 @@ func TestDebugServer(t *testing.T) {
 	}
 	for _, want := range []string{
 		"# TYPE optimize_seconds histogram",
-		`optimize_seconds_bucket{le="+Inf"} 1`,
+		`optimize_seconds_bucket{le="+Inf"} 2`,
 		"# TYPE exec_seconds histogram",
 		"# TYPE spool_materialize_seconds histogram",
-		"csedb_batches_total 1",
+		"# TYPE cache_lookup_seconds histogram",
+		"csedb_batches_total 2",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
+		}
+	}
+	for _, h := range []string{"optimize_seconds", "exec_seconds", "spool_materialize_seconds", "cache_lookup_seconds"} {
+		if n := histogramCount(t, body, h); n <= 0 {
+			t.Errorf("%s_count = %d, want > 0", h, n)
 		}
 	}
 
@@ -193,8 +204,13 @@ func TestDebugServer(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &fr); err != nil {
 		t.Fatalf("/flightrecorder is not valid JSON: %v", err)
 	}
-	if len(fr.Recent) != 1 || fr.Recent[0].Statements == 0 || len(fr.Recent[0].Spans) == 0 {
-		t.Errorf("/flightrecorder recent = %+v", fr.Recent)
+	if len(fr.Recent) != 2 {
+		t.Fatalf("/flightrecorder holds %d recent records, want 2", len(fr.Recent))
+	}
+	for _, rec := range fr.Recent {
+		if rec.Statements == 0 || len(rec.Spans) == 0 {
+			t.Errorf("/flightrecorder recent record = %+v, want statements and spans", rec)
+		}
 	}
 	if fr.ThresholdNS != int64(obs.DefaultSlowThreshold) {
 		t.Errorf("threshold_ns = %d", fr.ThresholdNS)
@@ -250,6 +266,22 @@ func TestDebugServer(t *testing.T) {
 		t.Errorf("restart on the freed address: %v", err)
 	}
 	db.StopDebugServer()
+}
+
+// histogramCount returns the <name>_count sample of a Prometheus text
+// exposition, or -1 when there is none.
+func histogramCount(t *testing.T, metrics, name string) int64 {
+	t.Helper()
+	for _, line := range strings.Split(metrics, "\n") {
+		if v, ok := strings.CutPrefix(line, name+"_count "); ok {
+			n, err := strconv.ParseInt(strings.TrimSpace(v), 10, 64)
+			if err != nil {
+				t.Fatalf("%s_count: %v", name, err)
+			}
+			return n
+		}
+	}
+	return -1
 }
 
 // TestOptionsDebugAddr: the Options knob starts the server from Open.

@@ -90,6 +90,9 @@ func TestMetricsRegistry(t *testing.T) {
 	if snap["csedb_statements_total"] == 0 {
 		t.Error("csedb_statements_total not incremented")
 	}
+	if snap["cse_candidates_total"] == 0 {
+		t.Error("the Table 2 batch has CSE candidates; cse_candidates_total must be > 0")
+	}
 	if snap["cse_used_total"] == 0 {
 		t.Error("the Table 2 batch uses CSEs; cse_used_total must be > 0")
 	}

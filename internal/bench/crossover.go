@@ -66,9 +66,9 @@ func RunCrossover(cfg Config, maxN int) ([]CrossoverPoint, error) {
 			db.SetSettings(s)
 			run := CrossoverRun{}
 			for rep := 0; rep < cfg.reps(); rep++ {
-				sw := newStopwatch()
+				start := time.Now()
 				res, _, err := db.Optimize(sql)
-				d := sw.Lap()
+				d := time.Since(start)
 				if err != nil {
 					return nil, fmt.Errorf("crossover n=%d %s: %w", n, strat, err)
 				}
@@ -139,27 +139,4 @@ func CSVCrossover(points []CrossoverPoint) string {
 			p.Greedy.Strategy, p.Greedy.CSEOpts, p.Greedy.OptTime.Seconds(), p.Greedy.EstCost)
 	}
 	return sb.String()
-}
-
-// CrossoverJSONObjects renders the sweep for the JSON report.
-func CrossoverJSONObjects(points []CrossoverPoint) []map[string]any {
-	runObj := func(r CrossoverRun) map[string]any {
-		return map[string]any{
-			"strategy": r.Strategy,
-			"cse_opts": r.CSEOpts,
-			"opt_s":    r.OptTime.Seconds(),
-			"est_cost": r.EstCost,
-		}
-	}
-	var out []map[string]any
-	for _, p := range points {
-		out = append(out, map[string]any{
-			"queries":    p.Queries,
-			"candidates": p.Candidates,
-			"base_cost":  p.BaseCost,
-			"lattice":    runObj(p.Lattice),
-			"greedy":     runObj(p.Greedy),
-		})
-	}
-	return out
 }

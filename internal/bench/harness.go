@@ -7,7 +7,7 @@ import (
 
 	"repro/csedb"
 	"repro/internal/core"
-	"repro/internal/obs"
+	"repro/internal/difftest"
 	"repro/internal/sqltypes"
 )
 
@@ -64,18 +64,10 @@ type Config struct {
 	// sequential measurement for the speedup comparison.
 	Parallelism int
 
-	// Tracing records the optimizer decision trace on every measured run
-	// (Measurement.Trace). Off by default so timing measurements stay free
-	// of trace overhead.
-	Tracing bool
-
 	// Search forces the MQO subset-search strategy for every measured run;
 	// empty means core.SearchAuto.
 	Search core.SearchStrategy
 }
-
-// DefaultConfig matches the benchmark defaults.
-var DefaultConfig = Config{ScaleFactor: 0.05, Seed: 42}
 
 func (c Config) reps() int {
 	if c.Reps <= 0 {
@@ -95,65 +87,30 @@ type Measurement struct {
 	ExecTime   time.Duration
 	UsedCSEs   []int
 	Labels     []string
-	RowCounts  []int
+
+	// Results is the first run's statement results in difftest.Normalize
+	// form, which VerifyAgainst and the sequential re-runs compare.
+	Results string
 
 	// ExecTimeSeq is the batch execution time on the sequential executor
 	// (minimum over reps), measured on the same database; ExecTime is the
 	// configured (by default parallel) executor.
 	ExecTimeSeq time.Duration
 
-	// Workers and Utilization describe the measured parallel run: pool size
+	// Workers and Utilization describe the first measured run: pool size
 	// and the busy-time fraction of available worker time.
 	Workers     int
 	Utilization float64
-
-	// BusyTime is the summed spool and statement work time across workers
-	// of the first measured run; FallbackReason is non-empty when that run
-	// fell back to the sequential executor.
-	BusyTime       time.Duration
-	FallbackReason string
-
-	// WallTime is the minimum end-to-end wall time of one rep
-	// (parse+optimize+execute), measured by the harness itself on the
-	// monotonic clock rather than summed from reported phases.
-	WallTime time.Duration
-
-	// Metrics is the database's metrics registry snapshot after the
-	// measured reps (sequential-comparison reps included).
-	Metrics map[string]float64
-
-	// Trace is the first run's optimizer decision trace when cfg.Tracing is
-	// on; nil otherwise.
-	Trace *obs.Trace
-}
-
-// stopwatch measures per-phase elapsed time. time.Now values carry Go's
-// monotonic clock reading and subtracting them uses it, so phase durations
-// are immune to wall-clock steps (NTP adjustments, suspend); the stopwatch
-// only ever stores and subtracts the original readings — it never
-// serializes them, which would strip the monotonic part.
-type stopwatch struct{ last time.Time }
-
-func newStopwatch() *stopwatch { return &stopwatch{last: time.Now()} }
-
-// Lap returns the monotonic elapsed time since the previous lap (or since
-// construction) and starts the next phase.
-func (s *stopwatch) Lap() time.Duration {
-	now := time.Now()
-	d := now.Sub(s.last)
-	s.last = now
-	return d
 }
 
 // NewDB opens a database loaded with the configured TPC-H data under the
 // given mode. The cross-batch result cache is disabled: the paper's tables
 // report cold-run execution times, and min-over-reps measurement would
-// silently turn into cache-hit measurement otherwise. The repeated-batch
-// scenario (RunRepeated) measures the cache deliberately.
+// silently turn into cache-hit measurement otherwise.
 func NewDB(cfg Config, mode Mode) (*csedb.DB, error) {
 	s := mode.Settings()
 	s.SearchStrategy = cfg.Search
-	db := csedb.Open(csedb.Options{CSE: &s, ExecParallelism: cfg.Parallelism, Tracing: cfg.Tracing, CacheBudget: -1})
+	db := csedb.Open(csedb.Options{CSE: &s, ExecParallelism: cfg.Parallelism, CacheBudget: -1})
 	if err := db.LoadTPCH(cfg.ScaleFactor, cfg.Seed); err != nil {
 		return nil, err
 	}
@@ -162,97 +119,64 @@ func NewDB(cfg Config, mode Mode) (*csedb.DB, error) {
 
 // RunBatch measures one batch under one mode on a fresh database,
 // re-running it cfg.Reps times and reporting the minimum optimization and
-// execution times per phase, measured on the monotonic clock. It then
-// re-executes the batch on the sequential executor (same reps) to record
-// the parallel-vs-sequential comparison, verifying both executors return
-// identical per-statement row counts.
+// execution times. It then re-executes the batch on the sequential executor
+// (same reps) for the parallel-vs-sequential comparison; every sequential
+// run must return the measured run's results.
 func RunBatch(cfg Config, mode Mode, sql string) (*Measurement, error) {
 	db, err := NewDB(cfg, mode)
 	if err != nil {
 		return nil, err
 	}
 	var m *Measurement
-	sw := newStopwatch()
 	for rep := 0; rep < cfg.reps(); rep++ {
-		sw.Lap()
 		res, err := db.Run(sql)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", mode, err)
 		}
-		wall := sw.Lap()
-		if m == nil {
-			m = &Measurement{
-				Mode:       mode,
-				Candidates: res.Stats.Candidates,
-				CSEOpts:    res.Stats.CSEOptimizations,
-				OptTime:    res.OptimizeTime,
-				EstCost:    res.EstimatedCost,
-				ExecTime:   res.ExecTime,
-				UsedCSEs:   res.Stats.UsedCSEs,
-				Labels:     res.Stats.CandidateLabels,
-			}
-			for _, st := range res.Statements {
-				m.RowCounts = append(m.RowCounts, len(st.Rows))
-			}
-		} else {
-			if res.OptimizeTime < m.OptTime {
-				m.OptTime = res.OptimizeTime
-			}
-			if res.ExecTime < m.ExecTime {
-				m.ExecTime = res.ExecTime
-			}
+		if m != nil {
+			m.OptTime = min(m.OptTime, res.OptimizeTime)
+			m.ExecTime = min(m.ExecTime, res.ExecTime)
+			continue
 		}
-		if m.WallTime == 0 || wall < m.WallTime {
-			m.WallTime = wall
+		m = &Measurement{
+			Mode:       mode,
+			Candidates: res.Stats.Candidates,
+			CSEOpts:    res.Stats.CSEOptimizations,
+			OptTime:    res.OptimizeTime,
+			EstCost:    res.EstimatedCost,
+			ExecTime:   res.ExecTime,
+			UsedCSEs:   res.Stats.UsedCSEs,
+			Labels:     res.Stats.CandidateLabels,
+			Results:    difftest.Normalize(res.Statements),
 		}
-		if es := res.ExecStats; es != nil && rep == 0 {
+		if es := res.ExecStats; es != nil {
 			m.Workers = es.Workers
 			m.Utilization = es.Utilization()
-			m.BusyTime = es.BusyTime
-			m.FallbackReason = es.FallbackReason
-		}
-		if rep == 0 {
-			m.Trace = res.Trace
 		}
 	}
 
-	// Sequential comparison phase on the same database and plan settings.
 	db.SetExecParallelism(1)
-	defer db.SetExecParallelism(cfg.Parallelism)
 	for rep := 0; rep < cfg.reps(); rep++ {
 		res, err := db.Run(sql)
 		if err != nil {
 			return nil, fmt.Errorf("%s (sequential): %w", mode, err)
 		}
-		if len(res.Statements) != len(m.RowCounts) {
-			return nil, fmt.Errorf("%s: sequential run returned %d statements, parallel %d",
-				mode, len(res.Statements), len(m.RowCounts))
+		if d := difftest.Diff(m.Results, difftest.Normalize(res.Statements)); d != "" {
+			return nil, fmt.Errorf("%s: sequential results differ from parallel at %s", mode, d)
 		}
-		for i, st := range res.Statements {
-			if len(st.Rows) != m.RowCounts[i] {
-				return nil, fmt.Errorf("%s: statement %d returned %d rows sequentially, %d in parallel",
-					mode, i+1, len(st.Rows), m.RowCounts[i])
-			}
-		}
-		if m.ExecTimeSeq == 0 || res.ExecTime < m.ExecTimeSeq {
+		if rep == 0 || res.ExecTime < m.ExecTimeSeq {
 			m.ExecTimeSeq = res.ExecTime
 		}
 	}
-	m.Metrics = db.Metrics().Snapshot()
 	return m, nil
 }
 
-// VerifyAgainst cross-checks two measurements' result row counts; the
-// harness uses it to assert CSE plans return the same result shapes.
+// VerifyAgainst checks that two measurements of one batch returned the same
+// results: byte-identical normalized text, except float cells, which may
+// differ in their last bits (difftest.Diff).
 func VerifyAgainst(a, b *Measurement) error {
-	if len(a.RowCounts) != len(b.RowCounts) {
-		return fmt.Errorf("statement counts differ: %d vs %d", len(a.RowCounts), len(b.RowCounts))
-	}
-	for i := range a.RowCounts {
-		if a.RowCounts[i] != b.RowCounts[i] {
-			return fmt.Errorf("statement %d row counts differ: %d (%s) vs %d (%s)",
-				i+1, a.RowCounts[i], a.Mode, b.RowCounts[i], b.Mode)
-		}
+	if d := difftest.Diff(a.Results, b.Results); d != "" {
+		return fmt.Errorf("%s and %s results differ at %s", a.Mode, b.Mode, d)
 	}
 	return nil
 }
@@ -486,108 +410,6 @@ func RunOverhead(cfg Config) (*OverheadMeasurement, error) {
 		OptWithCSE: with.OptTime,
 		Candidates: with.Candidates,
 	}, nil
-}
-
-// RepeatedMeasurement reports the repeated-batch scenario: one database with
-// the cross-batch result cache enabled runs the same batch several times.
-// The first (cold) run materializes every spool; warm runs serve them from
-// the cache, so WarmExec should beat ColdExec whenever the batch shares
-// work at all.
-type RepeatedMeasurement struct {
-	Candidates int
-	UsedCSEs   []int
-	RowCounts  []int
-
-	// ColdExec is the first run's execution time; WarmExec is the minimum
-	// execution time over the warm reps.
-	ColdExec time.Duration
-	WarmExec time.Duration
-
-	// SpoolsCached is how many spools the first warm run served from the
-	// cache (out of SpoolsTotal executed spools).
-	SpoolsCached int
-	SpoolsTotal  int
-
-	// Hits/Misses/Invalidations/CacheBytes snapshot the cache after the
-	// scenario.
-	Hits, Misses, Invalidations int64
-	CacheBytes                  int64
-
-	// Metrics is the database's metrics registry snapshot at the end.
-	Metrics map[string]float64
-}
-
-// WarmSpeedup is ColdExec / WarmExec (> 1 means the cache paid off).
-func (r *RepeatedMeasurement) WarmSpeedup() float64 { return speedup(r.ColdExec, r.WarmExec) }
-
-// RunRepeated measures the repeated-batch scenario under the WithCSE mode:
-// the batch runs once cold and cfg.Reps times warm on the same database with
-// the result cache on, verifying warm runs return the same per-statement row
-// counts as the cold run.
-func RunRepeated(cfg Config, sql string) (*RepeatedMeasurement, error) {
-	s := WithCSE.Settings()
-	s.SearchStrategy = cfg.Search
-	db := csedb.Open(csedb.Options{CSE: &s, ExecParallelism: cfg.Parallelism, Tracing: cfg.Tracing})
-	if err := db.LoadTPCH(cfg.ScaleFactor, cfg.Seed); err != nil {
-		return nil, err
-	}
-	cold, err := db.Run(sql)
-	if err != nil {
-		return nil, fmt.Errorf("repeated (cold): %w", err)
-	}
-	m := &RepeatedMeasurement{
-		Candidates: cold.Stats.Candidates,
-		UsedCSEs:   cold.Stats.UsedCSEs,
-		ColdExec:   cold.ExecTime,
-	}
-	for _, st := range cold.Statements {
-		m.RowCounts = append(m.RowCounts, len(st.Rows))
-	}
-	for rep := 0; rep < cfg.reps(); rep++ {
-		warm, err := db.Run(sql)
-		if err != nil {
-			return nil, fmt.Errorf("repeated (warm rep %d): %w", rep, err)
-		}
-		if len(warm.Statements) != len(m.RowCounts) {
-			return nil, fmt.Errorf("warm rep %d returned %d statements, cold run %d",
-				rep, len(warm.Statements), len(m.RowCounts))
-		}
-		for i, st := range warm.Statements {
-			if len(st.Rows) != m.RowCounts[i] {
-				return nil, fmt.Errorf("warm rep %d statement %d returned %d rows, cold run %d",
-					rep, i+1, len(st.Rows), m.RowCounts[i])
-			}
-		}
-		if m.WarmExec == 0 || warm.ExecTime < m.WarmExec {
-			m.WarmExec = warm.ExecTime
-		}
-		if rep == 0 && warm.ExecStats != nil {
-			m.SpoolsCached = warm.ExecStats.CacheHits()
-			m.SpoolsTotal = len(warm.ExecStats.SpoolRows)
-		}
-	}
-	if c := db.ResultCache(); c != nil {
-		st := c.Stats()
-		m.Hits, m.Misses, m.Invalidations, m.CacheBytes = st.Hits, st.Misses, st.Invalidations, st.Bytes
-	}
-	m.Metrics = db.Metrics().Snapshot()
-	return m, nil
-}
-
-// FormatRepeated renders the repeated-batch scenario.
-func (r *RepeatedMeasurement) FormatRepeated() string {
-	var sb strings.Builder
-	sb.WriteString("Repeated batch with cross-batch result cache\n")
-	fmt.Fprintf(&sb, "  candidates: %d (used: %d)\n", r.Candidates, len(r.UsedCSEs))
-	fmt.Fprintf(&sb, "  cold execution time (secs): %.4f\n", r.ColdExec.Seconds())
-	fmt.Fprintf(&sb, "  warm execution time (secs): %.4f\n", r.WarmExec.Seconds())
-	if sp := r.WarmSpeedup(); sp > 0 {
-		fmt.Fprintf(&sb, "  warm-cache speedup: %.2fx\n", sp)
-	}
-	fmt.Fprintf(&sb, "  spools served from cache (first warm run): %d/%d\n", r.SpoolsCached, r.SpoolsTotal)
-	fmt.Fprintf(&sb, "  cache counters: %d hits, %d misses, %d invalidations, %d bytes\n",
-		r.Hits, r.Misses, r.Invalidations, r.CacheBytes)
-	return sb.String()
 }
 
 // CSVFigure8 renders the sweep as CSV for plotting.

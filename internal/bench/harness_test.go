@@ -3,6 +3,10 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/difftest"
+	"repro/internal/exec"
+	"repro/internal/sqltypes"
 )
 
 func TestModeSettings(t *testing.T) {
@@ -77,21 +81,43 @@ func TestRunTableVerifies(t *testing.T) {
 	if tr.Runs[WithCSE].EstCost >= tr.Runs[NoCSE].EstCost {
 		t.Error("CSE run should be estimated cheaper on Table 1")
 	}
+	for _, m := range tr.Runs {
+		if m.ExecTime <= 0 || m.ExecTimeSeq <= 0 || m.Utilization <= 0 || m.Results == "" {
+			t.Errorf("%s: exec %v, sequential %v, utilization %.2f, %d bytes of results; want all non-zero",
+				m.Mode, m.ExecTime, m.ExecTimeSeq, m.Utilization, len(m.Results))
+		}
+	}
 }
 
 func TestVerifyAgainst(t *testing.T) {
-	a := &Measurement{Mode: NoCSE, RowCounts: []int{3, 5}}
-	b := &Measurement{Mode: WithCSE, RowCounts: []int{3, 5}}
-	if err := VerifyAgainst(a, b); err != nil {
-		t.Error(err)
+	// result renders one single-column statement per argument, like
+	// RunBatch does with a run's statement results.
+	result := func(stmts ...[]int64) string {
+		var res []*exec.StatementResult
+		for _, vals := range stmts {
+			sr := &exec.StatementResult{Names: []string{"n"}}
+			for _, v := range vals {
+				sr.Rows = append(sr.Rows, sqltypes.Row{sqltypes.NewInt(v)})
+			}
+			res = append(res, sr)
+		}
+		return difftest.Normalize(res)
 	}
-	c := &Measurement{Mode: WithCSE, RowCounts: []int{3, 6}}
-	if err := VerifyAgainst(a, c); err == nil {
-		t.Error("row-count mismatch must be detected")
-	}
-	d := &Measurement{Mode: WithCSE, RowCounts: []int{3}}
-	if err := VerifyAgainst(a, d); err == nil {
-		t.Error("statement-count mismatch must be detected")
+	a := &Measurement{Mode: NoCSE, Results: result([]int64{3, 5}, []int64{1})}
+	for _, c := range []struct {
+		name    string
+		results string
+		ok      bool
+	}{
+		{"same rows in another order", result([]int64{5, 3}, []int64{1}), true},
+		{"row-count mismatch", result([]int64{3, 5, 7}, []int64{1}), false},
+		{"same row count, different value", result([]int64{3, 6}, []int64{1}), false},
+		{"statement-count mismatch", result([]int64{3, 5}), false},
+	} {
+		err := VerifyAgainst(a, &Measurement{Mode: WithCSE, Results: c.results})
+		if (err == nil) != c.ok {
+			t.Errorf("%s: VerifyAgainst = %v, want ok=%v", c.name, err, c.ok)
+		}
 	}
 }
 
@@ -105,6 +131,27 @@ func TestOverheadRuns(t *testing.T) {
 	}
 	if ov.Candidates != 0 {
 		t.Errorf("no-sharing batch generated %d candidates", ov.Candidates)
+	}
+}
+
+func TestCrossoverRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("harness run skipped in -short mode")
+	}
+	points, err := RunCrossover(Config{ScaleFactor: 0.002, Seed: 1, Reps: 1}, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(points) != 2 || points[1].Queries != 8 {
+		t.Fatalf("sweep to 8 queries gave %+v, want points at 4 and 8", points)
+	}
+	for _, p := range points {
+		if p.Lattice.Strategy != "lattice" || p.Greedy.Strategy != "greedy" {
+			t.Errorf("n=%d ran %q and %q, want the forced lattice and greedy", p.Queries, p.Lattice.Strategy, p.Greedy.Strategy)
+		}
+	}
+	if out := FormatCrossover(points); !strings.Contains(out, "Lattice vs greedy") {
+		t.Errorf("crossover formatting broken:\n%s", out)
 	}
 }
 

@@ -1,6 +1,7 @@
 // Package bench defines the workloads and measurement harness that
-// regenerate every table and figure of the paper's evaluation (§6). It is
-// shared by the csebench command and the repository's testing.B benchmarks.
+// regenerate every table and figure of the paper's evaluation (§6) for the
+// csebench command. The workload SQL is also what the benchmark program,
+// the root ablation benchmarks and many tests run.
 package bench
 
 import (

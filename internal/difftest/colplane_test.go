@@ -64,7 +64,7 @@ func TestColumnPlanePinned(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: row plane: %v", seed, err)
 		}
-		if d := diff(rowText, colText); d != "" {
+		if d := Diff(rowText, colText); d != "" {
 			t.Fatalf("seed %d: column plane diverged from row plane:\n%s\nbatch:\n%s", seed, d, sql)
 		}
 		if rowStats.ColSelections != 0 || rowStats.ColHashPasses != 0 {

@@ -150,13 +150,13 @@ func TestDiffFloatTolerance(t *testing.T) {
 		}}
 	}
 	lo, hi := 190008.39074999999, 190008.39075000001
-	if d := diff(Normalize(result(1, lo)), Normalize(result(1, hi))); d != "" {
+	if d := Diff(Normalize(result(1, lo)), Normalize(result(1, hi))); d != "" {
 		t.Errorf("last-bit float difference reported as a mismatch:\n%s", d)
 	}
-	if diff(Normalize(result(1, lo)), Normalize(result(1, lo+0.01))) == "" {
+	if Diff(Normalize(result(1, lo)), Normalize(result(1, lo+0.01))) == "" {
 		t.Error("a float difference of 0.01 must be a mismatch")
 	}
-	if diff(Normalize(result(10000000000, lo)), Normalize(result(10000000001, lo))) == "" {
+	if Diff(Normalize(result(10000000000, lo)), Normalize(result(10000000001, lo))) == "" {
 		t.Error("integer cells must compare exactly")
 	}
 }

@@ -193,7 +193,7 @@ func (o *Oracle) Check(sql string) error {
 			baseName, baseText = cfg.Name, text
 			continue
 		}
-		if d := diff(baseText, text); d != "" {
+		if d := Diff(baseText, text); d != "" {
 			return &Mismatch{Base: baseName, Config: cfg.Name, Diff: d}
 		}
 	}
@@ -254,7 +254,7 @@ func (o *Oracle) runConfig(cfg Config, stmts []parser.Statement) (string, error)
 		t := Normalize(res)
 		if r == 0 {
 			text = t
-		} else if d := diff(text, t); d != "" {
+		} else if d := Diff(text, t); d != "" {
 			return "", &Mismatch{Base: fmt.Sprintf("%s run 1 (cold)", cfg.Name), Config: fmt.Sprintf("%s run %d (warm)", cfg.Name, r+1), Diff: d}
 		}
 	}
@@ -309,13 +309,13 @@ func normalizeRow(r sqltypes.Row) string {
 	return sb.String()
 }
 
-// diff compares two Normalize texts: "" when they agree, else the first
+// Diff compares two Normalize texts: "" when they agree, else the first
 // divergence. Everything must be byte-identical except float cells, which
 // agree within a billionth of each other relative to their size: different
 // plans add the same numbers in different orders, which moves the last few
 // bits, and rounding both sides to fixed decimals instead would call
 // 190008.39075000001 and 190008.39074999999 different.
-func diff(a, b string) string {
+func Diff(a, b string) string {
 	if a == b {
 		return ""
 	}

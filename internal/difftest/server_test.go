@@ -76,7 +76,7 @@ func TestServerDifferential(t *testing.T) {
 			}
 		}
 
-		if d := diff(Normalize(direct.Statements), Normalize(results)); d != "" {
+		if d := Diff(Normalize(direct.Statements), Normalize(results)); d != "" {
 			t.Fatalf("seed %d: server-path results diverge from direct sequential execution:\n%s", seed, d)
 		}
 	}

@@ -29,7 +29,8 @@ func benchPlan(b *testing.B, sql string) (*opt.Result, *logical.Metadata, *stora
 	return out.Result, md, db.Store()
 }
 
-// runExecBench runs the executor benchmark sequentially and with 8 workers.
+// runExecBench runs the executor benchmark sequentially, sequentially on the
+// row-at-a-time path (the column plane off), and with 8 workers.
 func runExecBench(b *testing.B, sql string) {
 	res, md, store := benchPlan(b, sql)
 	for _, bc := range []struct {
@@ -37,6 +38,7 @@ func runExecBench(b *testing.B, sql string) {
 		opts exec.Options
 	}{
 		{"seq", exec.Options{Parallelism: 1}},
+		{"seq-row", exec.Options{Parallelism: 1, NoColPlane: true}},
 		{"par8", exec.Options{Parallelism: 8}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
@@ -76,4 +78,15 @@ func BenchmarkHashAgg(b *testing.B) {
 select l_suppkey, l_returnflag, sum(l_extendedprice) as rev, sum(l_quantity) as qty, count(*) as n
 from lineitem
 group by l_suppkey, l_returnflag;`)
+}
+
+// BenchmarkScanSelective is the column plane's best case: a highly selective
+// conjunction that the selection kernels skim column by column while the row
+// path evaluates the whole predicate tree per row. Compare its seq and
+// seq-row cases for the row-vs-column gap.
+func BenchmarkScanSelective(b *testing.B) {
+	runExecBench(b, `
+select l_orderkey, l_quantity, l_tax
+from lineitem
+where l_quantity > 49 and l_returnflag = 'R' and l_shipmode = 'AIR';`)
 }

@@ -374,6 +374,9 @@ func TestPlanCache(t *testing.T) {
 	if db.Metrics().Counter("plancache_hits_total").Value() == 0 {
 		t.Error("plancache_hits_total = 0")
 	}
+	if r1.Coalesced != 1 || r2.Coalesced != 1 || db.Metrics().Counter("server_coalesced_batches_total").Value() != 0 {
+		t.Error("a server without a coalescing window formed a multi-request batch")
+	}
 
 	// A version bump on any referenced table invalidates the entry.
 	db.Store().Touch("lineitem")
