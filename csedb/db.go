@@ -86,7 +86,8 @@ type Options struct {
 	// the columnar data plane (typed column chunks plus selection-vector
 	// kernels). The row path is the engine's differential oracle; this knob
 	// exists for debugging and for row-vs-column benchmarking (the shell's
-	// \colplane command and csebench -exp scanspeed).
+	// \colplane command and the seq-row cases of the internal/exec
+	// microbenchmarks).
 	DisableColPlane bool
 }
 

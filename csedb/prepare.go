@@ -32,8 +32,8 @@ func OpenOn(cat *catalog.Catalog, store *storage.Store, opts Options) *DB {
 //
 // Staleness: Versions snapshots the referenced tables' version counters
 // BEFORE optimization reads any statistics, so a plan built while a write
-// raced it reports stale on the very next Versions check — the same
-// discipline the spool result cache uses.
+// raced it no longer matches the store's versions on the very next check —
+// the rule cache.LRU applies to both cached plans and cached spools.
 type Prepared struct {
 	stmts        []parser.Statement
 	batch        *logical.Batch
@@ -80,18 +80,6 @@ func (p *Prepared) Versions() map[string]uint64 { return p.versions }
 
 // PrepareTime returns the bind-to-optimized wall time.
 func (p *Prepared) PrepareTime() time.Duration { return p.prepareTime }
-
-// Stale reports whether any referenced table has changed since the plan was
-// prepared, per the given store's current version counters.
-func (p *Prepared) Stale(store *storage.Store) bool {
-	now := store.Versions(p.sourceTables)
-	for k, v := range p.versions {
-		if now[k] != v {
-			return true
-		}
-	}
-	return false
-}
 
 // ExecutePrepared runs a prepared batch. The context cancels the executor
 // (all parallel workers) — for a coalesced batch serving many clients, pass

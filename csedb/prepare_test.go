@@ -2,6 +2,7 @@ package csedb_test
 
 import (
 	"context"
+	"maps"
 	"strings"
 	"sync"
 	"testing"
@@ -75,9 +76,10 @@ func TestPrepareRejectsNonSelect(t *testing.T) {
 	}
 }
 
-// TestPreparedStale pins the invalidation contract: a write to any source
-// table flips Stale, a write elsewhere does not, and the version snapshot is
-// taken before optimization (so the accessors reflect pre-write state).
+// TestPreparedStale pins the invalidation contract the plan-shape cache
+// relies on: the version snapshot covers exactly the source tables, a write
+// to one of them moves the store away from it, and a write elsewhere does
+// not.
 func TestPreparedStale(t *testing.T) {
 	db := openTPCH(t, withCSE())
 	p, err := db.Prepare(`select n_name from nation where n_nationkey < 5;`)
@@ -97,15 +99,16 @@ func TestPreparedStale(t *testing.T) {
 		t.Fatal("PrepareTime not recorded")
 	}
 
-	if p.Stale(db.Store()) {
-		t.Fatal("fresh plan reports stale")
+	fresh := func() bool { return maps.Equal(db.Store().Versions(p.SourceTables()), p.Versions()) }
+	if !fresh() {
+		t.Fatal("fresh plan's snapshot differs from the store")
 	}
 	db.Store().Touch("lineitem")
-	if p.Stale(db.Store()) {
+	if !fresh() {
 		t.Fatal("write to an unreferenced table made the plan stale")
 	}
 	db.Store().Touch("nation")
-	if !p.Stale(db.Store()) {
+	if fresh() {
 		t.Fatal("write to a source table did not make the plan stale")
 	}
 }

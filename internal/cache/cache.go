@@ -1,7 +1,8 @@
-// Package cache implements the cross-batch spool result cache: materialized
-// CSE work tables kept across query batches, keyed by the candidate's
-// batch-independent normalized spec (core spec.cacheKey, carried on
-// opt.CSEPlan.SpecKey).
+// Package cache implements the engine's cross-batch caches on one generic,
+// version-checked LRU (LRU): the spool result cache here (Cache) and the
+// server's plan-shape cache. The result cache keeps materialized CSE work
+// tables across query batches, keyed by the candidate's batch-independent
+// normalized spec (core spec.cacheKey, carried on opt.CSEPlan.SpecKey).
 //
 // Consistency is version-based. Every entry records the monotonic version
 // counter of each base table its plan read (storage.Store versions, bumped
@@ -13,7 +14,7 @@
 // Admission is cost-based, reusing the engine's H2-style bound: an entry is
 // admitted only when reading it back (opt.SpoolReadCost over the actual row
 // set) is cheaper than recomputing its plan (the plan's estimated cost), and
-// only when it fits the byte budget. Eviction is LRU.
+// only when it fits the byte budget. Eviction is LRU by bytes.
 //
 // Cached results are shared by reference, never copied: entries hold a
 // storage.ColBox — the row set plus its lazily built columnar shadow — so a
@@ -23,12 +24,13 @@
 package cache
 
 import (
-	"container/list"
 	"fmt"
-	"sync"
+	"maps"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/opt"
 	"repro/internal/sqltypes"
 	"repro/internal/storage"
 )
@@ -43,15 +45,6 @@ const DefaultBudget = 64 << 20
 // seconds-scale buckets would collapse every observation into the first one.
 var lookupBounds = []float64{1e-6, 5e-6, 1e-5, 5e-5, 1e-4, 1e-3, 1e-2}
 
-// entry is one cached spool result.
-type entry struct {
-	key      string
-	box      *storage.ColBox
-	bytes    int64
-	versions map[string]uint64
-	elem     *list.Element
-}
-
 // Stats is a point-in-time snapshot of cache state and counters.
 type Stats struct {
 	Entries       int
@@ -64,33 +57,23 @@ type Stats struct {
 	Rejected      int64
 }
 
-// Cache is a byte-budgeted LRU over cached spool results. All methods are
-// safe for concurrent use.
+// Cache is the spool result cache: an LRU of boxed row sets costed in bytes,
+// plus the H2-style admission rule. All methods are safe for concurrent use.
 type Cache struct {
-	mu      sync.Mutex
-	budget  int64
-	bytes   int64
-	entries map[string]*entry
-	lru     *list.List // front = most recently used; values are *entry
-
-	hits, misses, evictions, invalidations, rejected int64
-
-	metrics *obs.Registry
+	lru      *LRU[*storage.ColBox]
+	rejected atomic.Int64
+	metrics  *obs.Registry
 }
 
 // New returns an empty cache with the given byte budget (non-positive means
-// DefaultBudget). The registry receives hit/miss/eviction/invalidation
-// counters, a bytes gauge, and a hit-latency histogram; nil disables metrics.
+// DefaultBudget). The registry receives hit/miss/eviction/invalidation/
+// rejection counters, a bytes gauge, and lookup and hit latency histograms;
+// nil disables metrics.
 func New(budget int64, metrics *obs.Registry) *Cache {
 	if budget <= 0 {
 		budget = DefaultBudget
 	}
-	return &Cache{
-		budget:  budget,
-		entries: make(map[string]*entry),
-		lru:     list.New(),
-		metrics: metrics,
-	}
+	return &Cache{lru: NewLRU[*storage.ColBox](budget, "cache", "bytes", metrics), metrics: metrics}
 }
 
 // Lookup returns the cached result for a key when present and still valid
@@ -99,86 +82,45 @@ func New(budget int64, metrics *obs.Registry) *Cache {
 // always equals lookups.
 func (c *Cache) Lookup(key string, versions map[string]uint64) (*storage.ColBox, bool) {
 	start := time.Now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	box, ok := c.lru.Get(key, func([]string) map[string]uint64 { return versions })
 	if c.metrics != nil {
-		defer func() {
-			c.metrics.HistogramWith("cache_lookup_seconds", lookupBounds).
-				Observe(time.Since(start).Seconds())
-		}()
+		d := time.Since(start).Seconds()
+		c.metrics.HistogramWith("cache_lookup_seconds", lookupBounds).Observe(d)
+		if ok {
+			c.metrics.Histogram("cache_hit_seconds").Observe(d)
+		}
 	}
-	e, ok := c.entries[key]
-	if ok && !versionsEqual(e.versions, versions) {
-		c.removeLocked(e)
-		c.invalidations++
-		c.count("cache_invalidations_total")
-		ok = false
-	}
-	if !ok {
-		c.misses++
-		c.count("cache_misses_total")
-		return nil, false
-	}
-	c.lru.MoveToFront(e.elem)
-	c.hits++
-	c.count("cache_hits_total")
-	if c.metrics != nil {
-		c.metrics.Histogram("cache_hit_seconds").Observe(time.Since(start).Seconds())
-	}
-	return e.box, true
+	return box, ok
 }
 
 // Admit offers a freshly materialized spool result to the cache. versions
-// must be the source-table snapshot taken before the plan ran. The entry is
-// rejected when reading it back (readCost) would not beat recomputing it
-// (computeCost) — the H2-style bound — or when it alone exceeds the budget;
-// otherwise LRU entries are evicted until it fits. Reports whether the entry
-// was admitted.
-func (c *Cache) Admit(key string, box *storage.ColBox, versions map[string]uint64, readCost, computeCost float64) bool {
+// must be the source-table snapshot taken before the plan ran; the cache
+// keeps it, so the caller must not modify it afterwards. The entry is
+// rejected when reading it back (opt.SpoolReadCost over its rows and bytes)
+// would not beat recomputing it (computeCost, the plan's estimate) — the
+// H2-style bound — or when it alone exceeds the budget; otherwise LRU
+// entries are evicted until it fits. Reports whether the entry was admitted.
+func (c *Cache) Admit(key string, box *storage.ColBox, versions map[string]uint64, computeCost float64) bool {
 	if key == "" || box == nil {
 		return false
 	}
+	rows := box.Rows()
 	var bytes int64
-	for _, r := range box.Rows() {
+	for _, r := range rows {
 		bytes += int64(sqltypes.RowSize(r))
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if readCost >= computeCost || bytes > c.budget {
-		c.rejected++
-		c.count("cache_rejected_total")
+	if opt.SpoolReadCost(float64(len(rows)), float64(bytes)) >= computeCost || !c.lru.Put(key, box, bytes, versions) {
+		c.rejected.Add(1)
+		if c.metrics != nil {
+			c.metrics.Counter("cache_rejected_total").Inc()
+		}
 		return false
 	}
-	if old, ok := c.entries[key]; ok {
-		// Concurrent batches can materialize the same spool; last admit wins.
-		c.removeLocked(old)
-	}
-	for c.bytes+bytes > c.budget {
-		back := c.lru.Back()
-		if back == nil {
-			break
-		}
-		c.removeLocked(back.Value.(*entry))
-		c.evictions++
-		c.count("cache_evictions_total")
-	}
-	e := &entry{key: key, box: box, bytes: bytes, versions: copyVersions(versions)}
-	e.elem = c.lru.PushFront(e)
-	c.entries[key] = e
-	c.bytes += bytes
-	c.gaugeBytes()
 	return true
 }
 
 // Clear drops every entry.
-func (c *Cache) Clear() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries = make(map[string]*entry)
-	c.lru.Init()
-	c.bytes = 0
-	c.gaugeBytes()
-}
+func (c *Cache) Clear() { c.lru.Clear() }
 
 // SetBudget changes the byte budget (non-positive means DefaultBudget) and
 // evicts LRU entries until the cache fits.
@@ -186,19 +128,7 @@ func (c *Cache) SetBudget(budget int64) {
 	if budget <= 0 {
 		budget = DefaultBudget
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.budget = budget
-	for c.bytes > c.budget {
-		back := c.lru.Back()
-		if back == nil {
-			break
-		}
-		c.removeLocked(back.Value.(*entry))
-		c.evictions++
-		c.count("cache_evictions_total")
-	}
-	c.gaugeBytes()
+	c.lru.SetBudget(budget)
 }
 
 // EntryInfo describes one cached entry for inspection (the debug server's
@@ -214,79 +144,23 @@ type EntryInfo struct {
 // Entries snapshots the cached entries in LRU order, most recently used
 // first. Row data is not included — only footprints and identity.
 func (c *Cache) Entries() []EntryInfo {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]EntryInfo, 0, len(c.entries))
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*entry)
-		out = append(out, EntryInfo{
-			Key:      e.key,
-			Rows:     len(e.box.Rows()),
-			Bytes:    e.bytes,
-			Versions: copyVersions(e.versions),
-		})
+	entries := c.lru.snapshot()
+	out := make([]EntryInfo, len(entries))
+	for i, e := range entries {
+		out[i] = EntryInfo{Key: e.key, Rows: len(e.value.Rows()), Bytes: e.cost, Versions: maps.Clone(e.versions)}
 	}
 	return out
 }
 
 // Stats snapshots the cache's state and counters.
 func (c *Cache) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return Stats{
-		Entries:       len(c.entries),
-		Bytes:         c.bytes,
-		Budget:        c.budget,
-		Hits:          c.hits,
-		Misses:        c.misses,
-		Evictions:     c.evictions,
-		Invalidations: c.invalidations,
-		Rejected:      c.rejected,
-	}
+	s := c.lru.Stats()
+	s.Rejected = c.rejected.Load()
+	return s
 }
 
 // String renders a one-line summary for the shell's \cache command.
 func (s Stats) String() string {
 	return fmt.Sprintf("%d entries, %d/%d bytes; %d hits, %d misses, %d invalidations, %d evictions, %d rejected",
 		s.Entries, s.Bytes, s.Budget, s.Hits, s.Misses, s.Invalidations, s.Evictions, s.Rejected)
-}
-
-// removeLocked unlinks an entry; callers hold mu.
-func (c *Cache) removeLocked(e *entry) {
-	delete(c.entries, e.key)
-	c.lru.Remove(e.elem)
-	c.bytes -= e.bytes
-	c.gaugeBytes()
-}
-
-func (c *Cache) count(name string) {
-	if c.metrics != nil {
-		c.metrics.Counter(name).Inc()
-	}
-}
-
-func (c *Cache) gaugeBytes() {
-	if c.metrics != nil {
-		c.metrics.Gauge("cache_bytes").Set(float64(c.bytes))
-	}
-}
-
-func versionsEqual(a, b map[string]uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
-func copyVersions(v map[string]uint64) map[string]uint64 {
-	out := make(map[string]uint64, len(v))
-	for k, val := range v {
-		out[k] = val
-	}
-	return out
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/opt"
 	"repro/internal/sqltypes"
 	"repro/internal/storage"
 )
@@ -35,7 +36,7 @@ func TestLookupMissThenHit(t *testing.T) {
 		t.Fatal("lookup on empty cache hit")
 	}
 	rows := rowsOfSize(3)
-	if !c.Admit("k", rows, v, 1, 100) {
+	if !c.Admit("k", rows, v, 100) {
 		t.Fatal("admit rejected a cheap entry")
 	}
 	got, ok := c.Lookup("k", v)
@@ -53,7 +54,7 @@ func TestLookupMissThenHit(t *testing.T) {
 
 func TestVersionMismatchInvalidates(t *testing.T) {
 	c := New(0, nil)
-	c.Admit("k", rowsOfSize(2), map[string]uint64{"orders": 1, "lineitem": 4}, 1, 100)
+	c.Admit("k", rowsOfSize(2), map[string]uint64{"orders": 1, "lineitem": 4}, 100)
 
 	// Any changed, missing, or extra table version must invalidate.
 	for _, v := range []map[string]uint64{
@@ -61,7 +62,7 @@ func TestVersionMismatchInvalidates(t *testing.T) {
 		{"orders": 1},
 		{"orders": 1, "lineitem": 4, "part": 0},
 	} {
-		c.Admit("k", rowsOfSize(2), map[string]uint64{"orders": 1, "lineitem": 4}, 1, 100)
+		c.Admit("k", rowsOfSize(2), map[string]uint64{"orders": 1, "lineitem": 4}, 100)
 		if _, ok := c.Lookup("k", v); ok {
 			t.Fatalf("lookup with versions %v hit a stale entry", v)
 		}
@@ -78,10 +79,12 @@ func TestVersionMismatchInvalidates(t *testing.T) {
 func TestAdmitCostBound(t *testing.T) {
 	c := New(0, nil)
 	// Reading back at least as expensive as recomputing: reject (H2 bound).
-	if c.Admit("k", rowsOfSize(1), nil, 50, 50) {
+	box := rowsOfSize(1)
+	readCost := opt.SpoolReadCost(1, float64(rowsBytes(box)))
+	if c.Admit("k", box, nil, readCost) {
 		t.Fatal("admitted an entry whose read cost matches recompute cost")
 	}
-	if c.Admit("", rowsOfSize(1), nil, 1, 100) {
+	if c.Admit("", rowsOfSize(1), nil, 100) {
 		t.Fatal("admitted an entry with an empty key")
 	}
 	if s := c.Stats(); s.Rejected != 1 || s.Entries != 0 {
@@ -94,13 +97,13 @@ func TestLRUEviction(t *testing.T) {
 	c := New(3*one, nil)
 	v := map[string]uint64{}
 	for i := 0; i < 3; i++ {
-		c.Admit(fmt.Sprintf("k%d", i), rowsOfSize(1), v, 1, 100)
+		c.Admit(fmt.Sprintf("k%d", i), rowsOfSize(1), v, 100)
 	}
 	// Touch k0 so k1 becomes the LRU victim.
 	if _, ok := c.Lookup("k0", v); !ok {
 		t.Fatal("k0 missing before eviction")
 	}
-	c.Admit("k3", rowsOfSize(1), v, 1, 100)
+	c.Admit("k3", rowsOfSize(1), v, 100)
 	if _, ok := c.Lookup("k1", v); ok {
 		t.Fatal("k1 survived eviction; LRU order wrong")
 	}
@@ -118,7 +121,7 @@ func TestLRUEviction(t *testing.T) {
 func TestOversizedEntryRejected(t *testing.T) {
 	one := rowsBytes(rowsOfSize(1))
 	c := New(one, nil)
-	if c.Admit("big", rowsOfSize(10), nil, 1, 1e9) {
+	if c.Admit("big", rowsOfSize(10), nil, 1e9) {
 		t.Fatal("admitted an entry larger than the whole budget")
 	}
 	if s := c.Stats(); s.Rejected != 1 {
@@ -130,7 +133,7 @@ func TestSetBudgetEvicts(t *testing.T) {
 	one := rowsBytes(rowsOfSize(1))
 	c := New(4*one, nil)
 	for i := 0; i < 4; i++ {
-		c.Admit(fmt.Sprintf("k%d", i), rowsOfSize(1), nil, 1, 100)
+		c.Admit(fmt.Sprintf("k%d", i), rowsOfSize(1), nil, 100)
 	}
 	c.SetBudget(2 * one)
 	s := c.Stats()
@@ -147,7 +150,7 @@ func TestSetBudgetEvicts(t *testing.T) {
 
 func TestClear(t *testing.T) {
 	c := New(0, nil)
-	c.Admit("k", rowsOfSize(5), nil, 1, 100)
+	c.Admit("k", rowsOfSize(5), nil, 100)
 	c.Clear()
 	s := c.Stats()
 	if s.Entries != 0 || s.Bytes != 0 {
@@ -160,8 +163,8 @@ func TestClear(t *testing.T) {
 
 func TestReAdmitReplaces(t *testing.T) {
 	c := New(0, nil)
-	c.Admit("k", rowsOfSize(1), map[string]uint64{"t": 1}, 1, 100)
-	c.Admit("k", rowsOfSize(4), map[string]uint64{"t": 2}, 1, 100)
+	c.Admit("k", rowsOfSize(1), map[string]uint64{"t": 1}, 100)
+	c.Admit("k", rowsOfSize(4), map[string]uint64{"t": 2}, 100)
 	box, ok := c.Lookup("k", map[string]uint64{"t": 2})
 	if !ok || len(box.Rows()) != 4 {
 		t.Fatalf("re-admit did not replace: ok=%v box=%v", ok, box)
@@ -175,11 +178,11 @@ func TestMetricsWiring(t *testing.T) {
 	r := obs.NewRegistry()
 	c := New(0, r)
 	v := map[string]uint64{"t": 1}
-	c.Admit("k", rowsOfSize(2), v, 1, 100)
-	c.Lookup("k", v)                      // hit
-	c.Lookup("absent", v)                 // miss
-	c.Lookup("k", map[string]uint64{})    // invalidation + miss
-	c.Admit("k2", rowsOfSize(1), v, 9, 9) // rejected
+	c.Admit("k", rowsOfSize(2), v, 100)
+	c.Lookup("k", v)                   // hit
+	c.Lookup("absent", v)              // miss
+	c.Lookup("k", map[string]uint64{}) // invalidation + miss
+	c.Admit("k2", rowsOfSize(1), v, 0) // rejected
 	snap := r.Snapshot()
 	want := map[string]float64{
 		"cache_hits_total":          1,
@@ -214,7 +217,7 @@ func TestConcurrentAccess(t *testing.T) {
 						return
 					}
 				} else {
-					c.Admit(key, rowsOfSize(3), v, 1, 100)
+					c.Admit(key, rowsOfSize(3), v, 100)
 				}
 				if i%50 == 0 {
 					switch g % 3 {
@@ -230,4 +233,26 @@ func TestConcurrentAccess(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestLRUStaleCheckKeepsNewerEntry pins that the version check, which runs
+// outside the lock, removes only the entry it checked: an entry admitted
+// for the key while the check ran survives and is served next.
+func TestLRUStaleCheckKeepsNewerEntry(t *testing.T) {
+	l := NewLRU[string](10, "t", "entries", nil)
+	l.Put("k", "old", 1, map[string]uint64{"t": 1})
+	_, ok := l.Get("k", func(tables []string) map[string]uint64 {
+		l.Put("k", "new", 1, map[string]uint64{"t": 2})
+		return map[string]uint64{"t": 2}
+	})
+	if ok {
+		t.Fatal("stale entry served")
+	}
+	v, ok := l.Get("k", func([]string) map[string]uint64 { return map[string]uint64{"t": 2} })
+	if !ok || v != "new" {
+		t.Fatalf("Get after the stale check = %q, %v; want the newer entry", v, ok)
+	}
+	if s := l.Stats(); s.Invalidations != 1 || s.Hits != 1 || s.Entries != 1 {
+		t.Fatalf("stats = %+v, want 1 invalidation, 1 hit, 1 entry", s)
+	}
 }

@@ -554,14 +554,9 @@ func (e *spoolEntry) materialize(c *Context) {
 	sp.SetAttr("rows", len(rows))
 	c.stats.recordSpool(e.id, len(rows), time.Since(start))
 	if e.key != "" {
-		var bytes int64
-		for _, r := range rows {
-			bytes += int64(sqltypes.RowSize(r))
-		}
-		// H2-style admission bound: cache only when reading the rows back
-		// costs less than recomputing the plan.
-		readCost := opt.SpoolReadCost(float64(len(rows)), float64(bytes))
-		c.cache.Admit(e.key, e.box, versions, readCost, e.plan.Cost)
+		// The cache applies the H2-style admission bound against the plan's
+		// estimated cost.
+		c.cache.Admit(e.key, e.box, versions, e.plan.Cost)
 	}
 }
 

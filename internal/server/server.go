@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"repro/csedb"
+	"repro/internal/cache"
 	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/parser"
@@ -121,6 +122,16 @@ type request struct {
 	done chan response
 }
 
+// planEntry is one plan-shape cache value: the prepared batch for a
+// normalized batch key, so a repeat shape skips parse, bind and optimize,
+// plus the per-request statement counts that demultiplex its results. The
+// cache is a cache.LRU costed one per entry and validated, like the spool
+// result cache, against the batch's table versions.
+type planEntry struct {
+	prepared *csedb.Prepared
+	counts   []int
+}
+
 // Server coalesces queries from many sessions into CSE-optimized batches on
 // one csedb.DB. The DB's read path is shared; any writes (Insert, DDL) must
 // be serialized by the embedder and must not overlap in-flight queries, per
@@ -129,7 +140,7 @@ type Server struct {
 	db      *csedb.DB
 	opts    Options
 	metrics *obs.Registry
-	plans   *planCache
+	plans   *cache.LRU[planEntry] // nil when the plan cache is off
 
 	baseCtx context.Context
 	cancel  context.CancelFunc
@@ -161,12 +172,16 @@ func New(db *csedb.DB, opts Options) *Server {
 	if opts.PlanCacheEntries == 0 {
 		opts.PlanCacheEntries = DefaultPlanCacheEntries
 	}
+	var plans *cache.LRU[planEntry]
+	if opts.PlanCacheEntries > 0 {
+		plans = cache.NewLRU[planEntry](int64(opts.PlanCacheEntries), "plancache", "entries", db.Metrics())
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		db:       db,
 		opts:     opts,
 		metrics:  db.Metrics(),
-		plans:    newPlanCache(opts.PlanCacheEntries, db.Store(), db.Metrics()),
+		plans:    plans,
 		baseCtx:  ctx,
 		cancel:   cancel,
 		sessions: make(map[string]*Session),
@@ -425,7 +440,12 @@ func (s *Server) dispatch(reqs []*request) {
 	}
 	key := batchKey(shapes)
 
-	p, counts, cached := s.plans.lookup(key)
+	var plan planEntry
+	cached := false
+	if s.plans != nil {
+		plan, cached = s.plans.Get(key, s.db.Store().Versions)
+	}
+	p, counts := plan.prepared, plan.counts
 	if !cached {
 		// Parse per request so a syntax error fails only its submitter; the
 		// rest of the batch proceeds without it.
@@ -493,16 +513,18 @@ func (s *Server) dispatch(reqs []*request) {
 			// A cached plan that fails execution must not keep serving the
 			// shape: left in place, every future batch with this key would
 			// hit, fail, and pay the retry-singles fallback again.
-			s.plans.remove(key)
+			s.plans.Remove(key)
 		}
 		s.failOrRetrySingles(reqs, err)
 		return
 	}
-	if !cached {
+	if !cached && s.plans != nil {
 		// Admit only after a successful execution so a plan that fails
 		// deterministically (e.g. a table dropped between parse and run)
-		// never enters the cache.
-		s.plans.admit(key, p, counts)
+		// never enters the cache. The version snapshot was taken before the
+		// optimizer read any statistics, so a plan a write raced is stale
+		// on its first lookup.
+		s.plans.Put(key, planEntry{p, counts}, 1, p.Versions())
 	}
 
 	s.metrics.Counter("server_batches_total").Inc()

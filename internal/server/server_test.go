@@ -622,7 +622,7 @@ func TestPlanCacheAdmitAfterExecution(t *testing.T) {
 	if _, err := sess.Query(context.Background(), q1); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.plans.len(); got != 1 {
+	if got := s.plans.Len(); got != 1 {
 		t.Fatalf("plan cache entries = %d after a successful query, want 1", got)
 	}
 
@@ -633,7 +633,7 @@ func TestPlanCacheAdmitAfterExecution(t *testing.T) {
 	if _, err := sess.Query(canceled, q2); err == nil {
 		t.Fatal("query under a canceled context succeeded")
 	}
-	if got := s.plans.len(); got != 1 {
+	if got := s.plans.Len(); got != 1 {
 		t.Errorf("plan cache entries = %d after a new shape failed execution, want 1", got)
 	}
 
@@ -641,7 +641,7 @@ func TestPlanCacheAdmitAfterExecution(t *testing.T) {
 	if _, err := sess.Query(canceled, q1); err == nil {
 		t.Fatal("query under a canceled context succeeded")
 	}
-	if got := s.plans.len(); got != 0 {
+	if got := s.plans.Len(); got != 0 {
 		t.Errorf("plan cache entries = %d after the cached plan failed execution, want 0", got)
 	}
 
@@ -649,7 +649,65 @@ func TestPlanCacheAdmitAfterExecution(t *testing.T) {
 	if _, err := sess.Query(context.Background(), q1); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.plans.len(); got != 1 {
+	if got := s.plans.Len(); got != 1 {
 		t.Errorf("plan cache entries = %d after re-running the shape, want 1", got)
+	}
+}
+
+// TestPlanCacheSameShapeConcurrent pins that concurrent sessions sending one
+// shape never share a mutable cache entry: the first batches all miss and
+// admit the same key while later ones hit it, so a re-admission that
+// rewrote the entry a lookup was reading is a data race under -race.
+func TestPlanCacheSameShapeConcurrent(t *testing.T) {
+	db := csedb.Open(csedb.Options{})
+	if err := db.LoadTPCH(0.001, 1); err != nil {
+		t.Fatal(err)
+	}
+	s := New(db, Options{NoCoalesce: true})
+	t.Cleanup(func() { s.Close() })
+
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for range 8 {
+		sess := mustSession(t, s)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 20 {
+				if _, err := sess.Query(context.Background(), q1); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// TestPlanCacheCapacity drives the plan cache past PlanCacheEntries: with
+// room for one shape, q2 evicts q1, so q1's second run re-plans and its
+// admission evicts q2 in turn.
+func TestPlanCacheCapacity(t *testing.T) {
+	s, db := newTestServer(t, Options{NoCoalesce: true, PlanCacheEntries: 1})
+	sess := mustSession(t, s)
+	m := db.Metrics()
+	for i, q := range []string{q1, q2, q1} {
+		r, err := sess.Query(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.PlanCached {
+			t.Errorf("run %d served from the plan cache; with one entry every run evicts the other shape", i+1)
+		}
+		if n, want := m.Counter("plancache_evictions_total").Value(), int64(i); n != want {
+			t.Errorf("after run %d: plancache_evictions_total = %d, want %d", i+1, n, want)
+		}
+		if n := m.Gauge("plancache_entries").Value(); n != 1 {
+			t.Errorf("after run %d: plancache_entries = %v, want 1", i+1, n)
+		}
 	}
 }
