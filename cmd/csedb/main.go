@@ -13,21 +13,21 @@
 //	\explain            show the next batch's optimized plan, not its rows
 //	\explain analyze    execute the next batch and show the plan with actuals
 //	\describe           show the next batch's CSE candidates and decisions
-//	\trace on|off       record and print the optimizer decision trace
-//	\debug on [addr]    span tracing + debug HTTP server (default 127.0.0.1:0)
-//	\debug off          stop the debug server and span tracing
-//	\debug              show debug server status
+//	\set                list the options and their values
+//	\set name value     reopen the database over the same data with one option
+//	                    changed; the names are the option flags below
+//	                    (\set no-cse true, \set debug 127.0.0.1:0, \set debug "").
+//	                    Metrics, the flight recorder and the result cache
+//	                    start fresh on the new database.
 //	\metrics            dump the metrics registry
 //	\cache              show cross-batch result-cache state and counters
 //	\cache clear        drop every cached spool result
-//	\cache on|off       enable/disable the result cache
-//	\cse on|off         toggle CSE optimization
-//	\heuristics on|off  toggle the §4.3 pruning heuristics
-//	\search [strategy]  show or set the MQO subset search: auto|lattice|greedy
-//	\parallel on|off|N  executor pool: on=GOMAXPROCS, off=sequential, N workers
-//	\colplane on|off    columnar data plane (off = row-at-a-time oracle path)
 //	\tables             list tables
 //	\q                  quit
+//
+// The options are -no-cse, -no-heuristics, -search, -parallelism, -colplane,
+// -trace, -no-cache and -debug; one flag set declares them for both the
+// command line and \set.
 //
 // Input accumulates until a line containing only "go" (SQL Server style),
 // which runs everything buffered as ONE optimized batch — the way to
@@ -39,6 +39,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strconv"
@@ -51,20 +52,94 @@ import (
 	"repro/internal/server"
 )
 
+// knobs are the database options. Their one flag set is added to the
+// command line by main and changed one flag at a time by the shell's \set.
+type knobs struct {
+	fs           *flag.FlagSet
+	noCSE        bool
+	noHeuristics bool
+	search       searchFlag
+	parallelism  int
+	colPlane     bool
+	trace        bool
+	noCache      bool
+	debug        string
+}
+
+func newKnobs() *knobs {
+	k := &knobs{search: searchFlag(core.SearchAuto)}
+	fs := flag.NewFlagSet("options", flag.ContinueOnError)
+	fs.BoolVar(&k.noCSE, "no-cse", false, "disable CSE optimization")
+	fs.BoolVar(&k.noHeuristics, "no-heuristics", false, "disable the §4.3 candidate pruning heuristics")
+	fs.Var(&k.search, "search", "MQO subset-search `strategy`: auto|lattice|greedy")
+	fs.IntVar(&k.parallelism, "parallelism", 0, "executor worker pool: 0=GOMAXPROCS (parallel, default), 1=sequential, n>1=n workers")
+	fs.BoolVar(&k.colPlane, "colplane", true, "use the columnar data plane; false forces the row-at-a-time oracle path")
+	fs.BoolVar(&k.trace, "trace", false, "record the optimizer decision trace and print it after each batch")
+	fs.BoolVar(&k.noCache, "no-cache", false, "disable the cross-batch spool result cache")
+	fs.StringVar(&k.debug, "debug", "", "start the debug HTTP server on this address and enable span tracing (e.g. 127.0.0.1:6060)")
+	k.fs = fs
+	return k
+}
+
+// options is the database configuration the knobs describe.
+func (k *knobs) options() csedb.Options {
+	s := core.DefaultSettings()
+	s.EnableCSE = !k.noCSE
+	s.Heuristics = !k.noHeuristics
+	s.SearchStrategy = core.SearchStrategy(k.search)
+	opts := csedb.Options{
+		CSE:             &s,
+		ExecParallelism: k.parallelism,
+		Tracing:         k.trace,
+		SpanTracing:     k.debug != "",
+		DisableColPlane: !k.colPlane,
+	}
+	if k.noCache {
+		opts.CacheBudget = -1
+	}
+	return opts
+}
+
+// startDebug starts db's debug server when the debug knob names an address,
+// and records the address it bound so a reopened database binds the same.
+func (k *knobs) startDebug(db *csedb.DB) error {
+	if k.debug == "" {
+		return nil
+	}
+	bound, err := db.StartDebugServer(k.debug)
+	if err != nil {
+		return err
+	}
+	k.debug = bound
+	fmt.Fprintf(os.Stderr, "debug server listening on http://%s — try /metrics, /flightrecorder, /trace/last\n", bound)
+	return nil
+}
+
+// searchFlag is a subset-search strategy flag that accepts only the known
+// strategies.
+type searchFlag core.SearchStrategy
+
+func (s *searchFlag) String() string { return string(*s) }
+
+func (s *searchFlag) Set(v string) error {
+	strategy, err := core.ParseSearchStrategy(v)
+	if err != nil {
+		return err
+	}
+	*s = searchFlag(strategy)
+	return nil
+}
+
 func main() {
+	k := newKnobs()
+	k.fs.VisitAll(func(f *flag.Flag) { flag.Var(f.Value, f.Name, f.Usage) })
 	var (
-		sf          = flag.Float64("sf", 0.05, "TPC-H scale factor")
-		seed        = flag.Int64("seed", 42, "data generation seed")
-		file        = flag.String("f", "", "SQL file to execute as one batch")
-		execSQL     = flag.String("e", "", "SQL batch to execute")
-		explain     = flag.Bool("explain", false, "print plans instead of executing")
-		noCSE       = flag.Bool("no-cse", false, "disable CSE optimization")
-		search      = flag.String("search", "auto", "MQO subset-search strategy: auto|lattice|greedy")
-		maxRows     = flag.Int("max-rows", 20, "rows printed per statement")
-		parallelism = flag.Int("parallelism", 0, "executor worker pool: 0=GOMAXPROCS (parallel, default), 1=sequential, n>1=n workers")
-		colPlane    = flag.Bool("colplane", true, "use the columnar data plane; false forces the row-at-a-time oracle path")
-		trace       = flag.Bool("trace", false, "record the optimizer decision trace and print it after each batch")
-		debugAddr   = flag.String("debug", "", "start the debug HTTP server on this address and enable span tracing (e.g. 127.0.0.1:6060)")
+		sf      = flag.Float64("sf", 0.05, "TPC-H scale factor")
+		seed    = flag.Int64("seed", 42, "data generation seed")
+		file    = flag.String("f", "", "SQL file to execute as one batch")
+		execSQL = flag.String("e", "", "SQL batch to execute")
+		explain = flag.Bool("explain", false, "print plans instead of executing")
+		maxRows = flag.Int("max-rows", 20, "rows printed per statement")
 
 		serveAddr     = flag.String("serve", "", "serve HTTP/JSON queries on this address instead of running a shell (e.g. 127.0.0.1:8632; \":0\" picks a port)")
 		serveWindow   = flag.Duration("serve-window", 0, "coalescing window for -serve (0 = server default)")
@@ -75,26 +150,9 @@ func main() {
 	)
 	flag.Parse()
 
-	strategy, err := core.ParseSearchStrategy(*search)
-	if err != nil {
+	db := csedb.Open(k.options())
+	if err := k.startDebug(db); err != nil {
 		fatal(err)
-	}
-	settings := core.DefaultSettings()
-	settings.EnableCSE = !*noCSE
-	settings.SearchStrategy = strategy
-	db := csedb.Open(csedb.Options{
-		CSE:             &settings,
-		ExecParallelism: *parallelism,
-		Tracing:         *trace,
-		SpanTracing:     *debugAddr != "",
-		DebugAddr:       *debugAddr,
-		DisableColPlane: !*colPlane,
-	})
-	if *debugAddr != "" {
-		if err := db.DebugServerError(); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "debug server listening on http://%s\n", db.DebugAddr())
 	}
 	fmt.Fprintf(os.Stderr, "loading TPC-H data (sf=%g, seed=%d)...\n", *sf, *seed)
 	if err := db.LoadTPCH(*sf, *seed); err != nil {
@@ -119,7 +177,7 @@ func main() {
 	case *execSQL != "":
 		runBatch(db, *execSQL, *explain, *maxRows)
 	default:
-		repl(db, *maxRows)
+		repl(&shell{db: db, knobs: k, maxRows: *maxRows, out: os.Stdout, errOut: os.Stderr})
 	}
 }
 
@@ -207,14 +265,21 @@ func printResult(res *csedb.BatchResult, maxRows int) {
 	}
 }
 
-func repl(db *csedb.DB, maxRows int) {
+// shell is an interactive session: the database it runs batches on, the
+// knobs that database was opened with, and how the next batch runs.
+type shell struct {
+	db          *csedb.DB
+	knobs       *knobs
+	maxRows     int
+	next        string // "", "explain", "analyze" or "describe"
+	out, errOut io.Writer
+}
+
+func repl(sh *shell) {
 	fmt.Println("csedb shell — separate statements with ';', run the buffered batch with 'go', quit with \\q")
 	scanner := bufio.NewScanner(os.Stdin)
 	scanner.Buffer(make([]byte, 1<<20), 1<<20)
 	var buf strings.Builder
-	explainNext := false
-	describeNext := false
-	analyzeNext := false
 	prompt := func() {
 		if buf.Len() == 0 {
 			fmt.Print("csedb> ")
@@ -226,216 +291,139 @@ func repl(db *csedb.DB, maxRows int) {
 	for scanner.Scan() {
 		line := scanner.Text()
 		trimmed := strings.TrimSpace(line)
-		if buf.Len() == 0 && strings.HasPrefix(trimmed, "\\") {
-			if handleMeta(db, trimmed, &explainNext, &describeNext, &analyzeNext) {
+		switch {
+		case buf.Len() == 0 && strings.HasPrefix(trimmed, "\\"):
+			if _, quit := sh.handleMeta(trimmed); quit {
 				return
 			}
-			prompt()
-			continue
-		}
-		isGo := strings.EqualFold(trimmed, "go")
-		if !isGo {
+		case strings.EqualFold(trimmed, "go"):
+			if sql := strings.TrimSpace(buf.String()); sql != "" {
+				sh.run(sql)
+			}
+			buf.Reset()
+		default:
 			buf.WriteString(line)
 			buf.WriteByte('\n')
-		}
-		if isGo {
-			sql := strings.TrimSpace(buf.String())
-			buf.Reset()
-			if sql == "" {
-				prompt()
-				continue
-			}
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						fmt.Fprintf(os.Stderr, "internal error: %v\n", r)
-					}
-				}()
-				if analyzeNext {
-					text, err := db.ExplainAnalyze(sql)
-					if err != nil {
-						fmt.Fprintf(os.Stderr, "error: %v\n", err)
-					} else {
-						fmt.Print(text)
-					}
-					analyzeNext = false
-					return
-				}
-				if explainNext {
-					plan, err := db.Explain(sql)
-					if err != nil {
-						fmt.Fprintf(os.Stderr, "error: %v\n", err)
-					} else {
-						fmt.Println(plan)
-					}
-					explainNext = false
-					return
-				}
-				if describeNext {
-					out, _, err := db.Optimize(sql)
-					if err != nil {
-						fmt.Fprintf(os.Stderr, "error: %v\n", err)
-					} else {
-						// The memo is reachable through the optimizer.
-						fmt.Println(out.Describe(out.Optimizer.M))
-					}
-					describeNext = false
-					return
-				}
-				res, err := db.Run(sql)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "error: %v\n", err)
-					return
-				}
-				printResult(res, maxRows)
-			}()
 		}
 		prompt()
 	}
 }
 
-// handleMeta processes a meta-command; it returns true to quit.
-func handleMeta(db *csedb.DB, cmd string, explainNext, describeNext, analyzeNext *bool) bool {
-	fields := strings.Fields(cmd)
-	switch fields[0] {
-	case "\\q", "\\quit":
-		return true
-	case "\\explain":
-		if len(fields) == 2 && fields[1] == "analyze" {
-			*analyzeNext = true
-			fmt.Println("next batch will be executed and shown with per-operator actuals")
-			break
+// run executes one buffered batch the way the last \explain or \describe
+// asked, or plainly.
+func (sh *shell) run(sql string) {
+	defer func() {
+		if r := recover(); r != nil {
+			fmt.Fprintf(sh.errOut, "internal error: %v\n", r)
 		}
-		*explainNext = true
-		fmt.Println("next batch will be explained, not executed")
-	case "\\trace":
-		if len(fields) != 2 || (fields[1] != "on" && fields[1] != "off") {
-			fmt.Fprintln(os.Stderr, "usage: \\trace on|off")
-			break
+	}()
+	mode := sh.next
+	sh.next = ""
+	var err error
+	switch mode {
+	case "analyze":
+		var text string
+		if text, err = sh.db.ExplainAnalyze(sql); err == nil {
+			fmt.Fprint(sh.out, text)
 		}
-		db.SetTracing(fields[1] == "on")
-		fmt.Printf("optimizer tracing %s\n", fields[1])
-	case "\\debug":
-		switch {
-		case len(fields) == 1:
-			if addr := db.DebugAddr(); addr != "" {
-				fmt.Printf("debug server listening on http://%s (span tracing %v)\n", addr, db.SpanTracing())
-			} else {
-				fmt.Println("debug server off")
-			}
-		case fields[1] == "on":
-			addr := "127.0.0.1:0"
-			if len(fields) == 3 {
-				addr = fields[2]
-			}
-			bound, err := db.StartDebugServer(addr)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "error: %v\n", err)
-				break
-			}
-			db.SetSpanTracing(true)
-			fmt.Printf("debug server listening on http://%s — try /metrics, /flightrecorder, /trace/last\n", bound)
-		case fields[1] == "off":
-			if err := db.StopDebugServer(); err != nil {
-				fmt.Fprintf(os.Stderr, "error: %v\n", err)
-			}
-			db.SetSpanTracing(false)
-			fmt.Println("debug server off, span tracing off")
-		default:
-			fmt.Fprintln(os.Stderr, "usage: \\debug [on [addr]|off]")
+	case "explain":
+		var plan string
+		if plan, err = sh.db.Explain(sql); err == nil {
+			fmt.Fprintln(sh.out, plan)
 		}
-	case "\\metrics":
-		fmt.Print(db.Metrics().Dump())
-	case "\\cache":
-		rc := db.ResultCache()
-		switch {
-		case len(fields) == 1:
-			if rc == nil {
-				fmt.Println("result cache off")
-			} else {
-				fmt.Printf("result cache: %s\n", rc.Stats())
-			}
-		case len(fields) == 2 && fields[1] == "clear":
-			if rc != nil {
-				rc.Clear()
-			}
-			fmt.Println("result cache cleared")
-		case len(fields) == 2 && fields[1] == "on":
-			db.SetCacheBudget(0)
-			fmt.Println("result cache on")
-		case len(fields) == 2 && fields[1] == "off":
-			db.SetCacheBudget(-1)
-			fmt.Println("result cache off")
-		default:
-			fmt.Fprintln(os.Stderr, "usage: \\cache [clear|on|off]")
+	case "describe":
+		var out *core.Output
+		if out, _, err = sh.db.Optimize(sql); err == nil {
+			// The memo is reachable through the optimizer.
+			fmt.Fprintln(sh.out, out.Describe(out.Optimizer.M))
 		}
-	case "\\describe":
-		*describeNext = true
-		fmt.Println("next batch's CSE decisions will be described, not executed")
-	case "\\tables":
-		for _, name := range db.Catalog().Names() {
-			fmt.Println(name)
-		}
-	case "\\parallel":
-		if len(fields) != 2 {
-			fmt.Fprintln(os.Stderr, "usage: \\parallel on|off|N")
-			break
-		}
-		switch arg := fields[1]; arg {
-		case "on":
-			db.SetExecParallelism(0)
-			fmt.Println("parallel execution on (GOMAXPROCS workers)")
-		case "off":
-			db.SetExecParallelism(1)
-			fmt.Println("parallel execution off (sequential)")
-		default:
-			n, err := strconv.Atoi(arg)
-			if err != nil || n < 1 {
-				fmt.Fprintln(os.Stderr, "usage: \\parallel on|off|N")
-				break
-			}
-			db.SetExecParallelism(n)
-			fmt.Printf("parallel execution with %d workers\n", n)
-		}
-	case "\\colplane":
-		if len(fields) != 2 || (fields[1] != "on" && fields[1] != "off") {
-			fmt.Fprintln(os.Stderr, "usage: \\colplane on|off")
-			break
-		}
-		db.SetColPlane(fields[1] == "on")
-		if db.ColPlane() {
-			fmt.Println("columnar data plane on")
-		} else {
-			fmt.Println("columnar data plane off (row-at-a-time oracle path)")
-		}
-	case "\\search":
-		if len(fields) == 1 {
-			fmt.Printf("search strategy: %s\n", db.SearchStrategy())
-			break
-		}
-		strategy, err := core.ParseSearchStrategy(fields[1])
-		if len(fields) != 2 || err != nil {
-			fmt.Fprintln(os.Stderr, "usage: \\search [auto|lattice|greedy]")
-			break
-		}
-		db.SetSearchStrategy(strategy)
-		fmt.Printf("search strategy: %s\n", strategy)
-	case "\\cse", "\\heuristics":
-		if len(fields) != 2 || (fields[1] != "on" && fields[1] != "off") {
-			fmt.Fprintf(os.Stderr, "usage: %s on|off\n", fields[0])
-			break
-		}
-		s := db.Settings()
-		on := fields[1] == "on"
-		if fields[0] == "\\cse" {
-			s.EnableCSE = on
-		} else {
-			s.Heuristics = on
-		}
-		db.SetSettings(s)
-		fmt.Printf("%s %s\n", strings.TrimPrefix(fields[0], "\\"), fields[1])
 	default:
-		fmt.Fprintf(os.Stderr, "unknown meta-command %s\n", fields[0])
+		var res *csedb.BatchResult
+		if res, err = sh.db.Run(sql); err == nil {
+			printResult(res, sh.maxRows)
+		}
 	}
-	return false
+	if err != nil {
+		fmt.Fprintf(sh.errOut, "error: %v\n", err)
+	}
+}
+
+// handleMeta processes a meta-command. It returns the database the shell
+// runs on from now on, and whether to quit.
+func (sh *shell) handleMeta(cmd string) (*csedb.DB, bool) {
+	fields := strings.Fields(cmd)
+	cmd = strings.Join(fields, " ")
+	switch {
+	case fields[0] == "\\q" || fields[0] == "\\quit":
+		return sh.db, true
+	case cmd == "\\explain analyze":
+		sh.next = "analyze"
+		fmt.Fprintln(sh.out, "next batch will be executed and shown with per-operator actuals")
+	case cmd == "\\explain":
+		sh.next = "explain"
+		fmt.Fprintln(sh.out, "next batch will be explained, not executed")
+	case cmd == "\\describe":
+		sh.next = "describe"
+		fmt.Fprintln(sh.out, "next batch's CSE decisions will be described, not executed")
+	case cmd == "\\set":
+		sh.knobs.fs.VisitAll(func(f *flag.Flag) { fmt.Fprintf(sh.out, "%-14s %s\n", f.Name, f.Value) })
+	case fields[0] == "\\set" && len(fields) == 3:
+		if err := sh.set(fields[1], fields[2]); err != nil {
+			fmt.Fprintf(sh.errOut, "error: %v\n", err)
+			break
+		}
+		fmt.Fprintf(sh.out, "%s set to %q on a new database over the same data (metrics, flight recorder and result cache start fresh)\n",
+			fields[1], sh.knobs.fs.Lookup(fields[1]).Value.String())
+	case cmd == "\\metrics":
+		fmt.Fprint(sh.out, sh.db.Metrics().Dump())
+	case cmd == "\\cache":
+		if rc := sh.db.ResultCache(); rc != nil {
+			fmt.Fprintf(sh.out, "result cache: %s\n", rc.Stats())
+		} else {
+			fmt.Fprintln(sh.out, "result cache off")
+		}
+	case cmd == "\\cache clear":
+		if rc := sh.db.ResultCache(); rc != nil {
+			rc.Clear()
+		}
+		fmt.Fprintln(sh.out, "result cache cleared")
+	case cmd == "\\tables":
+		for _, name := range sh.db.Catalog().Names() {
+			fmt.Fprintln(sh.out, name)
+		}
+	default:
+		fmt.Fprintf(sh.errOut, "unknown meta-command %q (\\explain [analyze], \\describe, \\set [name value], \\metrics, \\cache [clear], \\tables, \\q)\n", cmd)
+	}
+	return sh.db, false
+}
+
+// set changes one knob through its flag's Set and reopens the database over
+// the same catalog and store, moving the debug server across. An unknown
+// name, an invalid value or a debug address that cannot be bound leaves the
+// shell on its current database.
+func (sh *shell) set(name, value string) error {
+	f := sh.knobs.fs.Lookup(name)
+	if f == nil {
+		return fmt.Errorf("unknown option %q; \\set lists them", name)
+	}
+	if v, err := strconv.Unquote(value); err == nil {
+		value = v // \set debug "" turns the debug server off
+	}
+	prev := f.Value.String()
+	if err := f.Value.Set(value); err != nil {
+		return fmt.Errorf("%s: %v", name, err)
+	}
+	old := sh.db
+	db := csedb.OpenOn(old.Catalog(), old.Store(), sh.knobs.options())
+	oldAddr := old.DebugAddr()
+	old.StopDebugServer() //nolint:errcheck // closing a listener
+	if err := sh.knobs.startDebug(db); err != nil {
+		f.Value.Set(prev) //nolint:errcheck // prev was accepted before
+		if oldAddr != "" {
+			old.StartDebugServer(oldAddr) //nolint:errcheck // best effort: the address was just freed
+		}
+		return err
+	}
+	sh.db = db
+	return nil
 }

@@ -127,37 +127,36 @@ func TestCacheDisabled(t *testing.T) {
 	}
 }
 
-// TestSetCacheBudgetToggle: the shell's \cache on|off path — disabling
-// drops the cache, re-enabling starts cold.
-func TestSetCacheBudgetToggle(t *testing.T) {
+// TestOpenOnCacheStartsCold: a DB opened over warm data has a cache of its
+// own — off when disabled, and cold when enabled, whatever another DB on the
+// same store has cached.
+func TestOpenOnCacheStartsCold(t *testing.T) {
 	db := openCached(t, withCSE(), 0)
-	if _, err := db.Run(example1SQL); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if _, err := db.Run(example1SQL); err != nil {
+			t.Fatal(err)
+		}
 	}
-	db.SetCacheBudget(-1)
-	if db.ResultCache() != nil {
-		t.Fatal("cache still present after SetCacheBudget(-1)")
+	off := csedb.OpenOn(db.Catalog(), db.Store(), csedb.Options{CSE: withCSE(), CacheBudget: -1})
+	if off.ResultCache() != nil {
+		t.Fatal("ResultCache non-nil with CacheBudget -1")
 	}
-	res, err := db.Run(example1SQL)
+	res, err := off.Run(example1SQL)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.ExecStats.CacheHits() != 0 {
 		t.Fatal("cache hit while disabled")
 	}
-	db.SetCacheBudget(0)
-	if db.ResultCache() == nil {
-		t.Fatal("cache absent after SetCacheBudget(0)")
-	}
-	if _, err := db.Run(example1SQL); err != nil {
-		t.Fatal(err)
-	}
-	res, err = db.Run(example1SQL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ExecStats.CacheHits() != 1 {
-		t.Fatalf("cache hits after re-enable = %d, want 1", res.ExecStats.CacheHits())
+	on := csedb.OpenOn(db.Catalog(), db.Store(), csedb.Options{CSE: withCSE()})
+	for i, want := range []int{0, 1} {
+		res, err := on.Run(example1SQL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.ExecStats.CacheHits(); got != want {
+			t.Fatalf("run %d on the re-enabled DB: cache hits = %d, want %d", i, got, want)
+		}
 	}
 }
 

@@ -74,47 +74,36 @@ type Options struct {
 	// path pays one nil check per span site.
 	SpanTracing bool
 
-	// DebugAddr, when non-empty, starts the debug HTTP server on that
-	// address at Open (e.g. "127.0.0.1:6060"; ":0" picks a free port). The
-	// server exposes /metrics, /debug/pprof/*, /flightrecorder, /cache, and
-	// /trace/last. A failure to listen is reported by DebugServerError. The
-	// server can also be started and stopped at runtime with
-	// StartDebugServer / StopDebugServer (the shell's \debug command).
-	DebugAddr string
-
 	// DisableColPlane forces the row-at-a-time execution path, disabling
 	// the columnar data plane (typed column chunks plus selection-vector
 	// kernels). The row path is the engine's differential oracle; this knob
-	// exists for debugging and for row-vs-column benchmarking (the shell's
-	// \colplane command and the seq-row cases of the internal/exec
+	// exists for debugging and for row-vs-column benchmarking (csedb's
+	// -colplane=false and the seq-row cases of the internal/exec
 	// microbenchmarks).
 	DisableColPlane bool
 }
 
-// DB is an in-memory database instance. Read-only queries (Run on SELECT
-// batches, Optimize, Explain) are safe to call concurrently: every call
-// builds its own metadata, memo, optimizer, and execution context, and the
-// row store takes a read lock. DDL (CreateTable, CREATE MATERIALIZED VIEW)
-// and mutations (Insert, InsertWithViewMaintenance) must be serialized by
-// the caller and must not overlap reads.
+// DB is an in-memory database instance. Its configuration is fixed at Open:
+// nothing writes the Options afterwards, so every getter is safe to call from
+// any goroutine. To run with different options, open another DB over the
+// same data with OpenOn. Read-only queries (Run on SELECT batches, Optimize,
+// Explain) are safe to call concurrently: every call builds its own
+// metadata, memo, optimizer, and execution context, and the row store takes
+// a read lock. DDL (CreateTable, CREATE MATERIALIZED VIEW) and mutations
+// (Insert, InsertWithViewMaintenance) must be serialized by the caller and
+// must not overlap reads.
 type DB struct {
-	cat         *catalog.Catalog
-	store       *storage.Store
-	settings    core.Settings
-	views       *views.Manager
-	deltaSeq    int
-	parallelism int
-	chunkSize   int
-	noColPlane  bool
-	tracing     bool
-	spanTracing bool
-	metrics     *obs.Registry
-	cache       *cache.Cache
-	flight      *obs.FlightRecorder
+	cat      *catalog.Catalog
+	store    *storage.Store
+	opts     Options // as passed to Open, with CSE resolved
+	views    *views.Manager
+	deltaSeq int
+	metrics  *obs.Registry
+	cache    *cache.Cache
+	flight   *obs.FlightRecorder
 
-	debugMu  sync.Mutex
-	debug    *debugServer
-	debugErr error
+	debugMu sync.Mutex
+	debug   *debugServer
 }
 
 // Row re-exports the value tuple type for insertion APIs.
@@ -122,87 +111,48 @@ type Row = sqltypes.Row
 
 // Open returns an empty database.
 func Open(opts Options) *DB {
+	return OpenOn(catalog.New(), storage.NewStore(), opts)
+}
+
+// OpenOn returns a database wired onto an existing catalog and row store.
+// The serving layer, the differential harness and the shell's \set use it to
+// run several DB configurations over one shared data set; the caller owns
+// write serialization across all databases sharing the store. Each DB keeps
+// its own metrics, flight recorder, result cache and materialized-view
+// registry.
+func OpenOn(cat *catalog.Catalog, store *storage.Store, opts Options) *DB {
 	settings := core.DefaultSettings()
 	if opts.CSE != nil {
 		settings = *opts.CSE
 	}
+	opts.CSE = &settings
 	db := &DB{
-		cat:         catalog.New(),
-		store:       storage.NewStore(),
-		settings:    settings,
-		views:       views.NewManager(),
-		parallelism: opts.ExecParallelism,
-		chunkSize:   opts.ExecChunkSize,
-		noColPlane:  opts.DisableColPlane,
-		tracing:     opts.Tracing,
-		spanTracing: opts.SpanTracing,
-		metrics:     obs.NewRegistry(),
-		flight:      obs.NewFlightRecorder(obs.DefaultFlightCapacity, obs.DefaultSlowThreshold),
+		cat:     cat,
+		store:   store,
+		opts:    opts,
+		views:   views.NewManager(),
+		metrics: obs.NewRegistry(),
+		flight:  obs.NewFlightRecorder(obs.DefaultFlightCapacity, obs.DefaultSlowThreshold),
 	}
 	if opts.CacheBudget >= 0 {
 		db.cache = cache.New(opts.CacheBudget, db.metrics)
 	}
-	if opts.DebugAddr != "" {
-		if _, err := db.StartDebugServer(opts.DebugAddr); err != nil {
-			db.debugErr = err
-		}
-	}
 	return db
 }
 
-// Settings returns the current CSE settings.
-func (db *DB) Settings() core.Settings { return db.settings }
-
-// SetSettings replaces the CSE settings.
-func (db *DB) SetSettings(s core.Settings) { db.settings = s }
-
-// SearchStrategy returns the MQO subset-search strategy in force.
-func (db *DB) SearchStrategy() core.SearchStrategy {
-	if s := db.settings.SearchStrategy; s != "" {
-		return s
-	}
-	return core.SearchAuto
-}
-
-// SetSearchStrategy changes the MQO subset-search strategy for subsequent
-// batches.
-func (db *DB) SetSearchStrategy(s core.SearchStrategy) { db.settings.SearchStrategy = s }
+// Settings returns the CSE settings.
+func (db *DB) Settings() core.Settings { return *db.opts.CSE }
 
 // ExecParallelism returns the executor worker-pool setting (0 = default
 // parallel, 1 = sequential, n > 1 = n workers).
-func (db *DB) ExecParallelism() int { return db.parallelism }
-
-// SetExecParallelism changes the executor worker-pool setting for
-// subsequent batches.
-func (db *DB) SetExecParallelism(n int) { db.parallelism = n }
+func (db *DB) ExecParallelism() int { return db.opts.ExecParallelism }
 
 // ColPlane reports whether the columnar data plane is in force (the
 // default). When false, batches run the row-at-a-time reference path.
-func (db *DB) ColPlane() bool { return !db.noColPlane }
-
-// SetColPlane toggles the columnar data plane for subsequent batches.
-// Turning it off forces the row-at-a-time path — the differential oracle —
-// which is useful for isolating kernel bugs and for row-vs-column timing.
-func (db *DB) SetColPlane(on bool) { db.noColPlane = !on }
+func (db *DB) ColPlane() bool { return !db.opts.DisableColPlane }
 
 // ExecChunkSize returns the executor morsel granularity (0 = default).
-func (db *DB) ExecChunkSize() int { return db.chunkSize }
-
-// SetExecChunkSize changes the executor morsel granularity for subsequent
-// batches; 0 restores exec.DefaultChunkSize.
-func (db *DB) SetExecChunkSize(rows int) { db.chunkSize = rows }
-
-// Tracing reports whether optimizer decision tracing is on.
-func (db *DB) Tracing() bool { return db.tracing }
-
-// SetTracing toggles optimizer decision tracing for subsequent batches.
-func (db *DB) SetTracing(on bool) { db.tracing = on }
-
-// SpanTracing reports whether per-batch span tracing is on.
-func (db *DB) SpanTracing() bool { return db.spanTracing }
-
-// SetSpanTracing toggles per-batch span tracing for subsequent batches.
-func (db *DB) SetSpanTracing(on bool) { db.spanTracing = on }
+func (db *DB) ExecChunkSize() int { return db.opts.ExecChunkSize }
 
 // Metrics exposes the database's metrics registry. It is always collecting
 // (a handful of atomic updates per batch); render it with Dump or Snapshot.
@@ -215,23 +165,6 @@ func (db *DB) FlightRecorder() *obs.FlightRecorder { return db.flight }
 
 // ResultCache exposes the cross-batch spool result cache; nil when disabled.
 func (db *DB) ResultCache() *cache.Cache { return db.cache }
-
-// SetCacheBudget reconfigures the result cache for subsequent batches: a
-// negative budget disables it (dropping all entries), 0 enables it at the
-// default budget, and a positive value enables it at that byte budget. When
-// the cache is already on, its budget is adjusted in place (evicting as
-// needed) so existing entries survive.
-func (db *DB) SetCacheBudget(budget int64) {
-	if budget < 0 {
-		db.cache = nil
-		return
-	}
-	if db.cache == nil {
-		db.cache = cache.New(budget, db.metrics)
-		return
-	}
-	db.cache.SetBudget(budget)
-}
 
 // Catalog exposes the schema catalog (read-only use expected).
 func (db *DB) Catalog() *catalog.Catalog { return db.cat }

@@ -37,7 +37,6 @@ func (db *DB) StartDebugServer(addr string) (string, error) {
 	}
 	srv := &http.Server{Handler: db.DebugHandler(), ReadHeaderTimeout: 5 * time.Second}
 	db.debug = &debugServer{srv: srv, ln: ln, addr: ln.Addr().String()}
-	db.debugErr = nil
 	go srv.Serve(ln) //nolint:errcheck // Serve returns ErrServerClosed on Stop
 	return db.debug.addr, nil
 }
@@ -51,6 +50,9 @@ func (db *DB) StopDebugServer() error {
 		return nil
 	}
 	err := db.debug.srv.Close()
+	// Close releases the listener only if Serve has begun; closing it here
+	// too frees the address for an immediate restart.
+	db.debug.ln.Close() //nolint:errcheck // already closed when Serve had begun
 	db.debug = nil
 	return err
 }
@@ -65,11 +67,6 @@ func (db *DB) DebugAddr() string {
 	}
 	return db.debug.addr
 }
-
-// DebugServerError reports why the debug server requested via
-// Options.DebugAddr failed to start; nil when it started (or was never
-// requested).
-func (db *DB) DebugServerError() error { return db.debugErr }
 
 // DebugHandler returns the debug server's handler without binding a socket —
 // the CI smoke and tests scrape it in-process.
@@ -147,17 +144,11 @@ func (db *DB) handleCache(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (db *DB) handleTraceLast(w http.ResponseWriter, _ *http.Request) {
-	// The newest record that actually carries spans: span tracing may have
-	// been toggled on after plain batches already ran.
-	var rec *obs.BatchRecord
-	for _, r := range db.flight.Recent() {
-		if len(r.Spans) > 0 {
-			rec = r
-			break
-		}
-	}
-	if rec == nil {
-		http.Error(w, "no span-traced batch recorded; enable span tracing (\\debug on or Options.SpanTracing) and run a batch", http.StatusNotFound)
+	// Span tracing is fixed at Open, so either every record carries spans
+	// or none does.
+	rec := db.flight.Last()
+	if rec == nil || len(rec.Spans) == 0 {
+		http.Error(w, "no span-traced batch recorded; enable span tracing (csedb -debug, \\set debug or Options.SpanTracing) and run a batch", http.StatusNotFound)
 		return
 	}
 	data, err := obs.ChromeTrace(rec.Spans)

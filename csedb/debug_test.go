@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
@@ -80,9 +81,8 @@ func TestSpanTracing(t *testing.T) {
 		t.Errorf("second-run spool cache attr = %v, want hit", sp.Attrs["cache"])
 	}
 
-	// Toggling off stops span recording.
-	db.SetSpanTracing(false)
-	res, err = db.Run(bench.Table2SQL())
+	// A DB opened without span tracing over the same data records none.
+	res, err = csedb.OpenOn(db.Catalog(), db.Store(), csedb.Options{}).Run(bench.Table2SQL())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestSpanTracing(t *testing.T) {
 }
 
 // TestFlightRecorder: every batch — traced or not, failed or not — lands in
-// the ring; span trees ride along only while span tracing is on.
+// the ring; span trees ride along only on a DB opened with span tracing.
 func TestFlightRecorder(t *testing.T) {
 	db := openTPCH(t, withCSE())
 	if _, err := db.Run(bench.Table2SQL()); err != nil {
@@ -110,11 +110,11 @@ func TestFlightRecorder(t *testing.T) {
 		t.Errorf("flight record durations not set: %+v", last)
 	}
 
-	db.SetSpanTracing(true)
-	if _, err := db.Run(bench.Table2SQL()); err != nil {
+	traced := csedb.OpenOn(db.Catalog(), db.Store(), csedb.Options{CSE: withCSE(), SpanTracing: true})
+	if _, err := traced.Run(bench.Table2SQL()); err != nil {
 		t.Fatal(err)
 	}
-	if last = fr.Last(); len(last.Spans) == 0 {
+	if last := traced.FlightRecorder().Last(); len(last.Spans) == 0 {
 		t.Error("span tracing on, but the flight record has no spans")
 	}
 
@@ -268,6 +268,53 @@ func TestDebugServer(t *testing.T) {
 	db.StopDebugServer()
 }
 
+// TestDebugScrapeDuringBatches scrapes /cache, /metrics and /flightrecorder
+// in a loop while Table 2 runs with the result cache on. The handlers read
+// the cache, the registry and the flight recorder as batches write them;
+// run it under -race.
+func TestDebugScrapeDuringBatches(t *testing.T) {
+	db := openTPCHOpts(t, csedb.Options{SpanTracing: true})
+	h := db.DebugHandler()
+	done := make(chan struct{})
+	scrapes := make(chan int)
+	go func() {
+		n := 0
+		defer func() { scrapes <- n }()
+		for {
+			for _, path := range []string{"/cache", "/metrics", "/flightrecorder"} {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+				if rec.Code != http.StatusOK {
+					t.Errorf("GET %s = %d during batches", path, rec.Code)
+					return
+				}
+				n++
+			}
+		}
+	}()
+	var res *csedb.BatchResult
+	var err error
+	for i := 0; i < 3 && err == nil; i++ {
+		res, err = db.Run(bench.Table2SQL())
+	}
+	close(done)
+	n := <-scrapes
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ExecStats.CacheHits() == 0 {
+		t.Error("repeated Table 2 served no spool from the result cache")
+	}
+	if n == 0 {
+		t.Error("no scrape completed while the batches ran")
+	}
+}
+
 // histogramCount returns the <name>_count sample of a Prometheus text
 // exposition, or -1 when there is none.
 func histogramCount(t *testing.T, metrics, name string) int64 {
@@ -282,27 +329,6 @@ func histogramCount(t *testing.T, metrics, name string) int64 {
 		}
 	}
 	return -1
-}
-
-// TestOptionsDebugAddr: the Options knob starts the server from Open.
-func TestOptionsDebugAddr(t *testing.T) {
-	db := csedb.Open(csedb.Options{DebugAddr: "127.0.0.1:0"})
-	defer db.StopDebugServer()
-	if db.DebugServerError() != nil {
-		t.Fatal(db.DebugServerError())
-	}
-	addr := db.DebugAddr()
-	if addr == "" {
-		t.Fatal("Options.DebugAddr did not start the server")
-	}
-	resp, err := http.Get(fmt.Sprintf("http://%s/metrics", addr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("/metrics = %d", resp.StatusCode)
-	}
 }
 
 // TestReoptimizationWorkObserved: the work the CSE reoptimizations did —

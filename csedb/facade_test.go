@@ -175,8 +175,7 @@ func TestSettingsToggle(t *testing.T) {
 		t.Fatal("default settings must enable CSE")
 	}
 	s.EnableCSE = false
-	db.SetSettings(s)
-	res, err := db.Run(example1SQL)
+	res, err := csedb.OpenOn(db.Catalog(), db.Store(), csedb.Options{CSE: &s}).Run(example1SQL)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,8 +44,8 @@ func TestExplainAnalyze(t *testing.T) {
 	}
 }
 
-// TestTracingToggle: Run attaches a trace only when tracing is on, and the
-// toggle works mid-session.
+// TestTracingToggle: Run attaches a trace only when tracing is on, and a DB
+// opened with tracing over the same data traces.
 func TestTracingToggle(t *testing.T) {
 	db := openTPCH(t, withCSE())
 	res, err := db.Run(bench.Table2SQL())
@@ -56,11 +56,8 @@ func TestTracingToggle(t *testing.T) {
 		t.Error("tracing off by default, but Run attached a trace")
 	}
 
-	db.SetTracing(true)
-	if !db.Tracing() {
-		t.Fatal("SetTracing(true) not reflected")
-	}
-	res, err = db.Run(bench.Table2SQL())
+	traced := csedb.OpenOn(db.Catalog(), db.Store(), csedb.Options{CSE: withCSE(), Tracing: true})
+	res, err = traced.Run(bench.Table2SQL())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,11 +12,10 @@ import (
 // benchstat; the observability overhead budget is < 5%. The result cache is
 // disabled so every iteration does the full materialization work.
 func benchBatch(b *testing.B, span bool) {
-	db := csedb.Open(csedb.Options{SpanTracing: span})
+	db := csedb.Open(csedb.Options{SpanTracing: span, CacheBudget: -1})
 	if err := db.LoadTPCH(0.01, 42); err != nil {
 		b.Fatal(err)
 	}
-	db.SetCacheBudget(-1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := db.Run(bench.Table2SQL()); err != nil {

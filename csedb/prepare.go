@@ -5,24 +5,11 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/logical"
 	"repro/internal/obs"
 	"repro/internal/parser"
-	"repro/internal/storage"
 )
-
-// OpenOn returns a database wired onto an existing catalog and row store.
-// The serving layer and the differential harness use it to run several DB
-// configurations over one shared data set; the caller owns write
-// serialization across all databases sharing the store.
-func OpenOn(cat *catalog.Catalog, store *storage.Store, opts Options) *DB {
-	db := Open(opts)
-	db.cat = cat
-	db.store = store
-	return db
-}
 
 // Prepared is an optimized, execution-ready batch: the output of the plan
 // step (bind + CSE optimization), reusable across executions. A Prepared is

@@ -3,6 +3,7 @@ package csedb_test
 import (
 	"testing"
 
+	"repro/csedb"
 	"repro/internal/qgen"
 )
 
@@ -85,7 +86,7 @@ func TestRandomWorkloadsCostNeverWorse(t *testing.T) {
 // TestChunkSizeSweepEquivalence runs one generated batch at several morsel
 // chunk sizes through the public API and demands identical results — the
 // csedb-level counterpart of the difftest chunk cells, exercising
-// SetExecChunkSize.
+// Options.ExecChunkSize on databases opened over one data set.
 func TestChunkSizeSweepEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chunk sweep skipped in -short mode")
@@ -94,11 +95,11 @@ func TestChunkSizeSweepEquivalence(t *testing.T) {
 	sql := batchSQL(4242)
 	var base []string
 	for _, chunk := range []int{0, 1, 7, 1024} {
-		db.SetExecChunkSize(chunk)
-		if got := db.ExecChunkSize(); got != chunk {
-			t.Fatalf("ExecChunkSize = %d after SetExecChunkSize(%d)", got, chunk)
+		cdb := csedb.OpenOn(db.Catalog(), db.Store(), csedb.Options{CSE: withCSE(), ExecChunkSize: chunk})
+		if got := cdb.ExecChunkSize(); got != chunk {
+			t.Fatalf("ExecChunkSize = %d, opened with %d", got, chunk)
 		}
-		res, err := db.Run(sql)
+		res, err := cdb.Run(sql)
 		if err != nil {
 			t.Fatalf("chunk %d: %v\n%s", chunk, err, sql)
 		}

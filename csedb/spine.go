@@ -51,7 +51,7 @@ func (db *DB) plan(stmts []parser.Statement, tr *obs.Trace, root *obs.Span) (*Pr
 	if err != nil {
 		return nil, err
 	}
-	out, err := core.OptimizeObserved(m, db.settings, tr, span)
+	out, err := core.OptimizeObserved(m, db.Settings(), tr, span)
 	if err != nil {
 		return nil, err
 	}
@@ -77,12 +77,12 @@ func (db *DB) execute(ctx context.Context, root *obs.Span, p *Prepared, optTime 
 	start := time.Now()
 	span := root.Child("execute")
 	results, stats, err := exec.RunWithOptions(ctx, p.out.Result, p.batch.Metadata, db.store, exec.Options{
-		Parallelism: db.parallelism,
-		ChunkSize:   db.chunkSize,
+		Parallelism: db.opts.ExecParallelism,
+		ChunkSize:   db.opts.ExecChunkSize,
 		Analyze:     analyze,
 		Cache:       resultCache,
 		Span:        span,
-		NoColPlane:  db.noColPlane,
+		NoColPlane:  db.opts.DisableColPlane,
 	})
 	if err != nil {
 		span.End()
@@ -160,7 +160,7 @@ func parse(root *obs.Span, sql string) ([]parser.Statement, error) {
 // newTrace returns a fresh trace when tracing is on, else nil (which
 // disables every trace hook in the optimizer).
 func (db *DB) newTrace() *obs.Trace {
-	if !db.tracing {
+	if !db.opts.Tracing {
 		return nil
 	}
 	return obs.NewTrace()
@@ -169,7 +169,7 @@ func (db *DB) newTrace() *obs.Trace {
 // newSpanRecorder returns a fresh span recorder when span tracing is on, else
 // nil (which disables every span hook down the whole stack).
 func (db *DB) newSpanRecorder() *obs.SpanRecorder {
-	if !db.spanTracing {
+	if !db.opts.SpanTracing {
 		return nil
 	}
 	return obs.NewSpanRecorder()

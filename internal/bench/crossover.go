@@ -44,15 +44,15 @@ func CrossoverSizes(maxN int) []int {
 }
 
 // RunCrossover sweeps qgen batch sizes 4..maxN (doubling), optimizing each
-// batch under the forced lattice and the forced greedy search on the same
-// loaded database, and records where the greedy search overtakes the
+// batch under the forced lattice and the forced greedy search over the
+// same loaded data, and records where the greedy search overtakes the
 // lattice in optimization time. Batches are only optimized, never executed:
 // the experiment measures search cost, and execution would dwarf it at
 // large N. Both strategies' plan costs are checked against the no-CSE
 // baseline (never above it).
 func RunCrossover(cfg Config, maxN int) ([]CrossoverPoint, error) {
-	db := csedb.Open(csedb.Options{CacheBudget: -1})
-	if err := db.LoadTPCH(cfg.ScaleFactor, cfg.Seed); err != nil {
+	data := csedb.Open(csedb.Options{CacheBudget: -1})
+	if err := data.LoadTPCH(cfg.ScaleFactor, cfg.Seed); err != nil {
 		return nil, err
 	}
 	var out []CrossoverPoint
@@ -63,7 +63,7 @@ func RunCrossover(cfg Config, maxN int) ([]CrossoverPoint, error) {
 		for _, strat := range []core.SearchStrategy{core.SearchLattice, core.SearchGreedy} {
 			s := core.DefaultSettings()
 			s.SearchStrategy = strat
-			db.SetSettings(s)
+			db := csedb.OpenOn(data.Catalog(), data.Store(), csedb.Options{CSE: &s, CacheBudget: -1})
 			run := CrossoverRun{}
 			for rep := 0; rep < cfg.reps(); rep++ {
 				start := time.Now()

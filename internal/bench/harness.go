@@ -93,7 +93,7 @@ type Measurement struct {
 	Results string
 
 	// ExecTimeSeq is the batch execution time on the sequential executor
-	// (minimum over reps), measured on the same database; ExecTime is the
+	// (minimum over reps), measured on the same data; ExecTime is the
 	// configured (by default parallel) executor.
 	ExecTimeSeq time.Duration
 
@@ -155,9 +155,10 @@ func RunBatch(cfg Config, mode Mode, sql string) (*Measurement, error) {
 		}
 	}
 
-	db.SetExecParallelism(1)
+	s := db.Settings()
+	seq := csedb.OpenOn(db.Catalog(), db.Store(), csedb.Options{CSE: &s, ExecParallelism: 1, CacheBudget: -1})
 	for rep := 0; rep < cfg.reps(); rep++ {
-		res, err := db.Run(sql)
+		res, err := seq.Run(sql)
 		if err != nil {
 			return nil, fmt.Errorf("%s (sequential): %w", mode, err)
 		}

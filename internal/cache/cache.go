@@ -122,15 +122,6 @@ func (c *Cache) Admit(key string, box *storage.ColBox, versions map[string]uint6
 // Clear drops every entry.
 func (c *Cache) Clear() { c.lru.Clear() }
 
-// SetBudget changes the byte budget (non-positive means DefaultBudget) and
-// evicts LRU entries until the cache fits.
-func (c *Cache) SetBudget(budget int64) {
-	if budget <= 0 {
-		budget = DefaultBudget
-	}
-	c.lru.SetBudget(budget)
-}
-
 // EntryInfo describes one cached entry for inspection (the debug server's
 // /cache endpoint): its spec key, row/byte footprint, and the source-table
 // version snapshot it validates against.

@@ -126,7 +126,11 @@ func (l *LRU[V]) Put(key string, value V, cost int64, versions map[string]uint64
 	}
 	l.entries[key] = l.order.PushFront(e)
 	l.cost += cost
-	l.shrinkLocked()
+	for l.cost > l.budget {
+		l.removeLocked(l.order.Back())
+		l.count(evictions)
+	}
+	l.setGauge()
 	return true
 }
 
@@ -138,14 +142,6 @@ func (l *LRU[V]) Remove(key string) {
 		l.removeLocked(el)
 		l.setGauge()
 	}
-}
-
-// SetBudget changes the budget and evicts until the entries fit it.
-func (l *LRU[V]) SetBudget(budget int64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.budget = budget
-	l.shrinkLocked()
 }
 
 // Clear drops every entry without counting evictions.
@@ -191,15 +187,6 @@ func (l *LRU[V]) snapshot() []*lruEntry[V] {
 		out = append(out, el.Value.(*lruEntry[V]))
 	}
 	return out
-}
-
-// shrinkLocked evicts from the tail until the total cost fits the budget.
-func (l *LRU[V]) shrinkLocked() {
-	for l.cost > l.budget && l.order.Len() > 0 {
-		l.removeLocked(l.order.Back())
-		l.count(evictions)
-	}
-	l.setGauge()
 }
 
 func (l *LRU[V]) removeLocked(el *list.Element) {

@@ -15,6 +15,13 @@ import (
 
 // mediumDB builds emp/dept with enough rows that morsel chunking, spool
 // sharing, and cancellation mid-execution are all meaningful.
+// withExec opens a database over db's data with the given executor
+// parallelism and chunk size.
+func withExec(db *csedb.DB, par, chunk int) *csedb.DB {
+	s := db.Settings()
+	return csedb.OpenOn(db.Catalog(), db.Store(), csedb.Options{CSE: &s, ExecParallelism: par, ExecChunkSize: chunk})
+}
+
 func mediumDB(t testing.TB) *csedb.DB {
 	t.Helper()
 	s := core.DefaultSettings()
@@ -78,8 +85,7 @@ func settleGoroutines(t *testing.T, baseline int) {
 // executor. Every run must either finish cleanly or return the context
 // error — never hang, panic, or leak the worker pool.
 func TestCancellationMidMorsel(t *testing.T) {
-	db := mediumDB(t)
-	db.SetExecChunkSize(1)
+	db := withExec(mediumDB(t), 0, 1)
 	sql := `
 select dept, sum(salary) as s, count(*) as c from emp, dept where dept = name and salary > 60 group by dept;
 select dept, max(salary) as m from emp, dept where dept = name and salary > 60 group by dept;`
@@ -125,9 +131,7 @@ func TestEmptyBuildSideAtChunk1(t *testing.T) {
 	db := mediumDB(t)
 	for _, par := range []int{1, 0} {
 		for _, chunk := range []int{1, 0} {
-			db.SetExecParallelism(par)
-			db.SetExecChunkSize(chunk)
-			res, err := db.Run(`select name, count(salary) as c from emp, dept where dept = name and budget > 5000 group by name`)
+			res, err := withExec(db, par, chunk).Run(`select name, count(salary) as c from emp, dept where dept = name and budget > 5000 group by name`)
 			if err != nil {
 				t.Fatalf("par=%d chunk=%d: %v", par, chunk, err)
 			}
@@ -163,9 +167,7 @@ select name from dept where budget > (select salary from emp);`
 	baseline := runtime.NumGoroutine()
 	for _, par := range []int{0, 1, 3} {
 		for _, chunk := range []int{1, 0} {
-			db.SetExecParallelism(par)
-			db.SetExecChunkSize(chunk)
-			_, err := db.Run(failing)
+			_, err := withExec(db, par, chunk).Run(failing)
 			if err == nil || !strings.Contains(err.Error(), "scalar subquery returned") {
 				t.Fatalf("par=%d chunk=%d: want scalar-subquery error, got %v", par, chunk, err)
 			}

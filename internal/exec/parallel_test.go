@@ -92,10 +92,9 @@ func TestParallelMatchesSequentialStress(t *testing.T) {
 
 // TestDBExecParallelismOption drives the public facade knob end to end.
 func TestDBExecParallelismOption(t *testing.T) {
-	seqDB := tinyDB(t)
-	seqDB.SetExecParallelism(1)
-	parDB := tinyDB(t)
-	parDB.SetExecParallelism(4)
+	db := tinyDB(t)
+	seqDB := withExec(db, 1, 0)
+	parDB := withExec(db, 4, 0)
 
 	sql := `select dept, sum(salary) as s from emp where salary > 60 group by dept order by s desc;
 select dept, count(*) as n from emp where salary > 60 group by dept order by n desc;

@@ -31,3 +31,36 @@ func SplitStatements(src string) ([]string, error) {
 	}
 	return out, nil
 }
+
+// Shape renders src as its token sequence: the key under which the server
+// pools the plans of one query shape. Tokens are one space apart, keywords
+// are lower-cased as the lexer emits them, string literals are re-quoted
+// with each inner quote doubled so no literal can spell another token
+// sequence, and trailing semicolons are dropped; whitespace and comments
+// vanish. Two sources share a shape exactly when they lex to the same
+// tokens.
+func Shape(src string) (string, error) {
+	toks, err := lex(src)
+	if err != nil {
+		return "", err
+	}
+	toks = toks[:len(toks)-1] // EOF
+	for len(toks) > 0 && toks[len(toks)-1].kind == tokSymbol && toks[len(toks)-1].text == ";" {
+		toks = toks[:len(toks)-1]
+	}
+	var b strings.Builder
+	b.Grow(len(src))
+	for i, t := range toks {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		if t.kind == tokString {
+			b.WriteByte('\'')
+			b.WriteString(strings.ReplaceAll(t.text, "'", "''"))
+			b.WriteByte('\'')
+			continue
+		}
+		b.WriteString(t.text)
+	}
+	return b.String(), nil
+}

@@ -49,3 +49,62 @@ func TestSplitStatementsLexError(t *testing.T) {
 		t.Fatal("want lex error")
 	}
 }
+
+// shape is Shape for sources that lex.
+func shape(t *testing.T, src string) string {
+	t.Helper()
+	s, err := Shape(src)
+	if err != nil {
+		t.Fatalf("Shape(%q): %v", src, err)
+	}
+	return s
+}
+
+// TestShapeKey pins the normalizer: whitespace collapses, literals are
+// verbatim, trailing semicolons drop, keyword case folds.
+func TestShapeKey(t *testing.T) {
+	if shape(t, "select  a\nfrom t;") != shape(t, "select a from t") {
+		t.Error("whitespace/semicolon variants should share a shape")
+	}
+	if shape(t, "select 'a  b' from t") == shape(t, "select 'a b' from t") {
+		t.Error("literal-internal whitespace must be significant")
+	}
+	if shape(t, "select 'it''s  ok' from t") == shape(t, "select 'it''s ok' from t") {
+		t.Error("escaped-quote literal internals must be significant")
+	}
+	if shape(t, "select a from t") == shape(t, "select a from u") {
+		t.Error("different tables must differ in shape")
+	}
+	if shape(t, "select a from t; select b from u") == shape(t, "select a from t") {
+		t.Error("multi-statement shape must include every statement")
+	}
+	if shape(t, "SELECT a FROM t") != shape(t, "select a from t") {
+		t.Error("keyword case must not distinguish shapes")
+	}
+	if shape(t, "select a from t") == shape(t, "select 'a' from t") {
+		t.Error("a string literal must not share a shape with an identifier it spells")
+	}
+}
+
+// TestShapeKeyComments pins comment-aware normalization. Regression: a
+// newline both separates tokens and terminates a `--` line comment, so
+// collapsing it blindly merged "…t --c where a=1" (WHERE swallowed by the
+// comment) with "…t\n--c\nwhere a=1" (WHERE active) into one shape — and a
+// plan-cache hit then executed the wrong plan.
+func TestShapeKeyComments(t *testing.T) {
+	if shape(t, "select a from t --c where a=1") == shape(t, "select a from t\n--c\nwhere a=1") {
+		t.Error("comment-swallowed WHERE must not share a shape with an active WHERE")
+	}
+	if shape(t, "select a from t\n--c\nwhere a=1") != shape(t, "select a from t where a=1") {
+		t.Error("a stripped comment must not distinguish shapes")
+	}
+	if shape(t, "select a from t --c where a=1") != shape(t, "select a from t") {
+		t.Error("a comment running to end of input must vanish from the shape")
+	}
+	if shape(t, "select a--c\nfrom t") != shape(t, "select a from t") {
+		t.Error("a comment adjacent to a token must still separate tokens")
+	}
+	if shape(t, "select '--x' from t") == shape(t, "select '' from t") {
+		t.Error("-- inside a string literal is not a comment")
+	}
+}

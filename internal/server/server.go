@@ -273,10 +273,17 @@ func (sess *Session) Query(ctx context.Context, sql string) (*Result, error) {
 		return nil, ErrSessionClosed
 	}
 
+	shape, err := parser.Shape(sql)
+	if err != nil {
+		// Counted like a parse failure in dispatch.
+		s.metrics.Counter("server_requests_total").Inc()
+		s.metrics.Counter("server_requests_failed_total").Inc()
+		return nil, err
+	}
 	r := &request{
 		sess:  sess,
 		sql:   sql,
-		shape: shapeKey(sql),
+		shape: shape,
 		ctx:   ctx,
 		enq:   time.Now(),
 		done:  make(chan response, 1),
@@ -581,7 +588,7 @@ func (s *Server) Stats() map[string]float64 { return s.metrics.Snapshot() }
 // batchKey combines a batch's per-request shapes into one plan-cache key.
 // Each shape is length-prefixed so the combined key is unambiguous even
 // when a shape itself contains any would-be separator byte (a NUL inside a
-// string literal survives shapeKey verbatim): ["ab","c"] and ["a","bc"]
+// string literal survives parser.Shape verbatim): ["ab","c"] and ["a","bc"]
 // and ["ab\x00c"] all key differently.
 func batchKey(shapes []string) string {
 	var b strings.Builder
@@ -596,73 +603,4 @@ func batchKey(shapes []string) string {
 		b.WriteString(sh)
 	}
 	return b.String()
-}
-
-// shapeKey normalizes a request's SQL to its coalescing shape: runs of
-// whitespace collapse to one space, `--` line comments are stripped (the
-// lexer skips them, so they must not distinguish — or conflate — shapes),
-// and trailing semicolons drop, but bytes inside single-quoted string
-// literals are preserved verbatim ('a  b' and 'a b' are different values,
-// not the same shape). Case is preserved — equality stays strictly
-// semantics-preserving.
-//
-// Comment handling is the load-bearing part: a newline both separates
-// tokens and terminates a comment, so collapsing it blindly would merge
-// "SELECT a FROM t --c WHERE a=1" (WHERE swallowed by the comment) with
-// "SELECT a FROM t\n--c\nWHERE a=1" (WHERE active) into one shape and a
-// plan-cache hit would then run the wrong plan. Mirroring the lexer —
-// comment bytes vanish, the terminating newline survives as whitespace —
-// keeps shape equality aligned with token equality.
-func shapeKey(sql string) string {
-	var b strings.Builder
-	b.Grow(len(sql))
-	inStr, space := false, false
-	for i := 0; i < len(sql); i++ {
-		c := sql[i]
-		if inStr {
-			b.WriteByte(c)
-			if c == '\'' {
-				if i+1 < len(sql) && sql[i+1] == '\'' {
-					b.WriteByte('\'')
-					i++
-				} else {
-					inStr = false
-				}
-			}
-			continue
-		}
-		if c == '-' && i+1 < len(sql) && sql[i+1] == '-' {
-			for i < len(sql) && sql[i] != '\n' {
-				i++
-			}
-			// i now sits on the terminating newline (or end of input); the
-			// whitespace case below records it so adjacent tokens stay split.
-			if i == len(sql) {
-				break
-			}
-			c = sql[i]
-		}
-		switch c {
-		case ' ', '\t', '\n', '\r':
-			space = true
-		case '\'':
-			if space && b.Len() > 0 {
-				b.WriteByte(' ')
-			}
-			space = false
-			inStr = true
-			b.WriteByte(c)
-		default:
-			if space && b.Len() > 0 {
-				b.WriteByte(' ')
-			}
-			space = false
-			b.WriteByte(c)
-		}
-	}
-	out := b.String()
-	for strings.HasSuffix(out, ";") {
-		out = strings.TrimSpace(strings.TrimSuffix(out, ";"))
-	}
-	return out
 }

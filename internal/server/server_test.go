@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -347,6 +348,21 @@ func TestParseErrorIsolation(t *testing.T) {
 	}
 }
 
+// TestLexErrorFailsRequest: SQL the lexer rejects fails its request with
+// the lexer's error, counted as a request and as a failed one.
+func TestLexErrorFailsRequest(t *testing.T) {
+	s, _ := newTestServer(t, Options{})
+	_, err := mustSession(t, s).Query(context.Background(), "select 'open from lineitem")
+	if err == nil || !strings.Contains(err.Error(), "unterminated string literal") {
+		t.Fatalf("err = %v, want the lexer's unterminated-literal error", err)
+	}
+	stats := s.Stats()
+	if stats["server_requests_total"] != 1 || stats["server_requests_failed_total"] != 1 {
+		t.Errorf("requests_total = %v, requests_failed_total = %v, want 1 and 1",
+			stats["server_requests_total"], stats["server_requests_failed_total"])
+	}
+}
+
 // TestPlanCache pins hit, shape normalization, and version invalidation.
 func TestPlanCache(t *testing.T) {
 	s, db := newTestServer(t, Options{NoCoalesce: true})
@@ -493,51 +509,8 @@ func TestCanceledClientSpoolReuse(t *testing.T) {
 	}
 }
 
-// TestShapeKey pins the normalizer: whitespace collapses, literals are
-// verbatim, trailing semicolons drop.
-func TestShapeKey(t *testing.T) {
-	if shapeKey("select  a\nfrom t;") != shapeKey("select a from t") {
-		t.Error("whitespace/semicolon variants should share a shape")
-	}
-	if shapeKey("select 'a  b' from t") == shapeKey("select 'a b' from t") {
-		t.Error("literal-internal whitespace must be significant")
-	}
-	if shapeKey("select 'it''s  ok' from t") == shapeKey("select 'it''s ok' from t") {
-		t.Error("escaped-quote literal internals must be significant")
-	}
-	if shapeKey("select a from t") == shapeKey("select a from u") {
-		t.Error("different tables must differ in shape")
-	}
-	if shapeKey("select a from t; select b from u") == shapeKey("select a from t") {
-		t.Error("multi-statement shape must include every statement")
-	}
-}
-
-// TestShapeKeyComments pins comment-aware normalization. Regression: a
-// newline both separates tokens and terminates a `--` line comment, so
-// collapsing it blindly merged "…t --c where a=1" (WHERE swallowed by the
-// comment) with "…t\n--c\nwhere a=1" (WHERE active) into one shape — and a
-// plan-cache hit then executed the wrong plan.
-func TestShapeKeyComments(t *testing.T) {
-	if shapeKey("select a from t --c where a=1") == shapeKey("select a from t\n--c\nwhere a=1") {
-		t.Error("comment-swallowed WHERE must not share a shape with an active WHERE")
-	}
-	if shapeKey("select a from t\n--c\nwhere a=1") != shapeKey("select a from t where a=1") {
-		t.Error("a stripped comment must not distinguish shapes")
-	}
-	if shapeKey("select a from t --c where a=1") != shapeKey("select a from t") {
-		t.Error("a comment running to end of input must vanish from the shape")
-	}
-	if shapeKey("select a--c\nfrom t") != shapeKey("select a from t") {
-		t.Error("a comment adjacent to a token must still separate tokens")
-	}
-	if shapeKey("select '--x' from t") == shapeKey("select '' from t") {
-		t.Error("-- inside a string literal is not a comment")
-	}
-}
-
 // TestBatchKeyUnambiguous pins the length-prefixed combined key: shapes may
-// contain any byte (a NUL inside a literal survives shapeKey verbatim), so
+// contain any byte (a NUL inside a literal survives parser.Shape verbatim), so
 // no join separator is safe — only framing is.
 func TestBatchKeyUnambiguous(t *testing.T) {
 	keys := map[string]string{
