@@ -236,7 +236,6 @@ func OptimizeObserved(m *memo.Memo, settings Settings, tr *obs.Trace, span *obs.
 	out := &Output{Result: base, Base: base, Optimizer: o, Trace: tr}
 	out.Stats.BaseCost = base.Cost
 	out.Stats.FinalCost = base.Cost
-	base.MarkFusion()
 	if !settings.EnableCSE || base.Cost < settings.MinQueryCost {
 		return out, nil
 	}
@@ -313,7 +312,6 @@ func OptimizeObserved(m *memo.Memo, settings Settings, tr *obs.Trace, span *obs.
 	out.Stats.Work = o.Work
 	setWorkAttrs(subsetSpan, o.Work)
 	if best != nil && best.Cost < base.Cost {
-		best.MarkFusion()
 		out.Result = best
 		out.Stats.FinalCost = best.Cost
 		out.Stats.UsedCSEs = used

@@ -52,8 +52,9 @@ func runExecBench(b *testing.B, sql string) {
 	}
 }
 
-// BenchmarkScanFilterProject exercises the fused scan→filter→project path:
-// a selective predicate and an arithmetic projection over lineitem.
+// BenchmarkScanFilterProject exercises a scan→filter→project statement: a
+// selective predicate run as one shared-row selection pass over lineitem,
+// then an arithmetic projection.
 func BenchmarkScanFilterProject(b *testing.B) {
 	runExecBench(b, `
 select l_orderkey, l_extendedprice * (1 - l_discount) as net

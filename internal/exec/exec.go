@@ -45,8 +45,9 @@ type Options struct {
 
 	// Analyze turns on per-operator instrumentation (rows produced,
 	// cumulative wall time, execution counts) reported in Stats.Nodes for
-	// EXPLAIN ANALYZE rendering. Off by default: the plain path pays no
-	// per-node timing cost.
+	// EXPLAIN ANALYZE rendering. It changes no data path: an Analyze run
+	// executes what a plain run does and adds the timing. Off by default:
+	// the plain path pays no per-node timing cost.
 	Analyze bool
 
 	// Cache, when non-nil, is the cross-batch spool result cache: a spool
@@ -409,37 +410,33 @@ func layoutOf(cols []scalar.ColID) map[scalar.ColID]int {
 	return m
 }
 
-// exec runs one plan node to a materialized row set with layout p.Cols,
-// recording per-node actuals when Analyze mode is on.
+// exec runs one plan node to a materialized row set with layout p.Cols:
+// execSource, then one re-projection, which only a pass-through node needs.
 func (c *Context) exec(p *opt.Plan) ([]sqltypes.Row, error) {
+	rows, err := c.execSource(p)
+	if err != nil {
+		return nil, err
+	}
+	return c.reproject(p, rows)
+}
+
+// observe runs one plan node, recording its rows and cumulative wall time
+// when Analyze mode is on.
+func (c *Context) observe(p *opt.Plan, run func(*opt.Plan) ([]sqltypes.Row, error)) ([]sqltypes.Row, error) {
 	if !c.stats.analyze {
-		return c.execNode(p)
+		return run(p)
 	}
 	start := time.Now()
-	rows, err := c.execNode(p)
+	rows, err := run(p)
 	if err == nil {
 		c.stats.recordNode(p, len(rows), time.Since(start))
 	}
 	return rows, err
 }
 
-// execNode dispatches one plan node.
+// execNode dispatches one materializing plan node.
 func (c *Context) execNode(p *opt.Plan) ([]sqltypes.Row, error) {
-	if c.ctx != nil {
-		if err := c.ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
 	switch p.Op {
-	case opt.PScan:
-		return c.execScan(p)
-	case opt.PIndexScan:
-		return c.execIndexScan(p)
-	case opt.PFilter:
-		if p.FuseEligible && c.fusionEnabled() {
-			return c.execFused(p)
-		}
-		return c.execFilter(p)
 	case opt.PHashJoin:
 		return c.execHashJoin(p)
 	case opt.PNLJoin:
@@ -452,12 +449,7 @@ func (c *Context) execNode(p *opt.Plan) ([]sqltypes.Row, error) {
 		return c.execHashAgg(p)
 	case opt.PStreamAgg:
 		return c.execStreamAgg(p)
-	case opt.PSort:
-		return c.execSort(p)
 	case opt.PProject:
-		if p.FuseEligible && c.fusionEnabled() {
-			return c.execFused(p)
-		}
 		return c.execProject(p)
 	case opt.PSpoolScan:
 		// Every spool scan is one read of the shared work table; the
@@ -558,119 +550,6 @@ func (e *spoolEntry) materialize(c *Context) {
 		// estimated cost.
 		c.cache.Admit(e.key, e.box, versions, e.plan.Cost)
 	}
-}
-
-func (c *Context) execScan(p *opt.Plan) ([]sqltypes.Row, error) {
-	rel := c.Md.Rel(p.Rel)
-	tab, err := c.Store.Table(rel.Tab.Name)
-	if err != nil {
-		return nil, err
-	}
-	// Table rows have the full column layout of the instance.
-	full := fullColIDs(rel)
-	layout := layoutOf(full)
-	var filter scalar.EvalFn
-	var cs *colSelection
-	if p.Filter != nil {
-		cs = c.buildColSelection(c.substituteSubqueries(p.Filter), c.tableView(tab), layout)
-		if cs == nil {
-			filter, err = c.compile(p.Filter, layout)
-			if err != nil {
-				return nil, fmt.Errorf("scan filter on %s: %w", rel.Tab.Name, err)
-			}
-		}
-	}
-	// Projection indices from full row to output layout.
-	idx := make([]int, len(p.Cols))
-	for i, col := range p.Cols {
-		pos, ok := layout[col]
-		if !ok {
-			return nil, fmt.Errorf("scan output column @%d not in table %s", col, rel.Tab.Name)
-		}
-		idx[i] = pos
-	}
-	source := tab.Rows
-	// Identity projection: the scan's output is the full table layout, so
-	// rows can be shared instead of copied — operators never mutate their
-	// inputs (the same sharing spool reads rely on).
-	if identityProjection(idx, len(full)) {
-		if cs != nil {
-			return c.selectShared(p, source, cs)
-		}
-		if filter == nil {
-			return source, nil
-		}
-		return c.filterShared(p, source, filter)
-	}
-	return c.runMorsels(p, len(source), func(arena *sqltypes.RowArena, lo, hi int, out *[]sqltypes.Row) error {
-		if cs != nil {
-			// Late materialization: the kernels pick the surviving row
-			// numbers from the typed columns, then only those rows are
-			// decoded into the projected layout.
-			for _, si := range cs.apply(source, lo, hi) {
-				r := source[si]
-				row := arena.NewRow(len(idx))
-				for i, pos := range idx {
-					row[i] = r[pos]
-				}
-				*out = append(*out, row)
-			}
-			return nil
-		}
-		if filter == nil {
-			// Exactly one output row per input row: size the slice once.
-			*out = append(*out, make([]sqltypes.Row, 0, hi-lo)...)
-		}
-		for _, r := range source[lo:hi] {
-			if filter != nil {
-				d := filter(r)
-				if d.IsNull() || !d.Bool() {
-					continue
-				}
-			}
-			row := arena.NewRow(len(idx))
-			for i, pos := range idx {
-				row[i] = r[pos]
-			}
-			*out = append(*out, row)
-		}
-		return nil
-	})
-}
-
-// identityProjection reports whether idx selects every position of a
-// width-wide row in order, i.e. projecting through it is a no-op.
-func identityProjection(idx []int, width int) bool {
-	if len(idx) != width {
-		return false
-	}
-	for i, pos := range idx {
-		if pos != i {
-			return false
-		}
-	}
-	return true
-}
-
-func (c *Context) execFilter(p *opt.Plan) ([]sqltypes.Row, error) {
-	// Compile before running the child: expression errors surface without
-	// paying for the subtree, and the closure is ready for every worker.
-	fn, err := c.compile(p.Filter, layoutOf(p.Children[0].Cols))
-	if err != nil {
-		return nil, err
-	}
-	in, err := c.exec(p.Children[0])
-	if err != nil {
-		return nil, err
-	}
-	// When the child handed back storage-backed rows (shared scan or spool
-	// work table), filter on their columnar shadow instead.
-	if cd := c.sourceView(p.Children[0], in); cd != nil {
-		if cs := c.buildColSelection(c.substituteSubqueries(p.Filter), cd, layoutOf(p.Children[0].Cols)); cs != nil {
-			return c.selectShared(p, in, cs)
-		}
-	}
-	return c.filterShared(p, in, fn)
 }
 
 func (c *Context) execHashJoin(p *opt.Plan) ([]sqltypes.Row, error) {

@@ -1,87 +1,11 @@
 package exec
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/opt"
-	"repro/internal/scalar"
 	"repro/internal/sqltypes"
 )
-
-// execIndexScan reads the qualifying range of a secondary index (a sorted
-// row permutation), applies the residual filter, and projects the output
-// columns. Rows are emitted in index order, providing the sort order the
-// optimizer advertised.
-func (c *Context) execIndexScan(p *opt.Plan) ([]sqltypes.Row, error) {
-	rel := c.Md.Rel(p.Rel)
-	tab, err := c.Store.Table(rel.Tab.Name)
-	if err != nil {
-		return nil, err
-	}
-	perm := tab.Index(p.IndexOrd)
-	if perm == nil {
-		return nil, fmt.Errorf("no index on %s.%s", rel.Tab.Name, rel.Tab.Cols[p.IndexOrd].Name)
-	}
-	layout := layoutOf(fullColIDs(rel))
-	var filter scalar.EvalFn
-	var cs *colSelection
-	if p.Filter != nil {
-		cs = c.buildColSelection(c.substituteSubqueries(p.Filter), c.tableView(tab), layout)
-		if cs == nil {
-			filter, err = c.compile(p.Filter, layout)
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	idx := make([]int, len(p.Cols))
-	for i, col := range p.Cols {
-		pos, ok := layout[col]
-		if !ok {
-			return nil, fmt.Errorf("index scan output column @%d not in table %s", col, rel.Tab.Name)
-		}
-		idx[i] = pos
-	}
-
-	span := indexSpan(tab.Rows, perm, p.IndexOrd, p.Bounds)
-
-	return c.runMorsels(p, len(span), func(arena *sqltypes.RowArena, lo, hi int, out *[]sqltypes.Row) error {
-		if cs != nil {
-			// Span entries are row numbers into the table — the index space of
-			// its columnar shadow — so the residual filter refines them as a
-			// selection vector before any row is decoded.
-			sel := make([]int32, hi-lo)
-			for k, ri := range span[lo:hi] {
-				sel[k] = int32(ri)
-			}
-			for _, ri := range cs.refineSel(tab.Rows, sel) {
-				r := tab.Rows[ri]
-				row := arena.NewRow(len(idx))
-				for j, pos := range idx {
-					row[j] = r[pos]
-				}
-				*out = append(*out, row)
-			}
-			return nil
-		}
-		for _, ri := range span[lo:hi] {
-			r := tab.Rows[ri]
-			if filter != nil {
-				d := filter(r)
-				if d.IsNull() || !d.Bool() {
-					continue
-				}
-			}
-			row := arena.NewRow(len(idx))
-			for j, pos := range idx {
-				row[j] = r[pos]
-			}
-			*out = append(*out, row)
-		}
-		return nil
-	})
-}
 
 // indexSpan binary-searches both ends of the qualifying range of a sorted
 // row permutation, so the span is known up front and can be processed in

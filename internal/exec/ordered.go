@@ -8,20 +8,6 @@ import (
 	"repro/internal/sqltypes"
 )
 
-// execSort sorts the child's rows ascending by the plan's sort columns
-// (NULLs first, matching sqltypes.Compare).
-func (c *Context) execSort(p *opt.Plan) ([]sqltypes.Row, error) {
-	keys, err := colPositions(p.SortCols, layoutOf(p.Children[0].Cols), "sort column")
-	if err != nil {
-		return nil, err
-	}
-	in, err := c.exec(p.Children[0])
-	if err != nil {
-		return nil, err
-	}
-	return sortRows(in, keys), nil
-}
-
 // execMergeJoin joins two inputs sorted on their key columns. Rows with a
 // NULL key never match. Duplicate keys on both sides produce the full cross
 // of the two equal-key blocks.

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/catalog"
@@ -70,6 +71,7 @@ func orderedFixture(t *testing.T) (*Context, *opt.Plan, *opt.Plan, []scalar.ColI
 		Rows:     5,
 	}
 	ctx := &Context{
+		ctx:           context.Background(),
 		Store:         st,
 		Md:            md,
 		spools:        map[int]*spoolEntry{},

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/logical"
@@ -10,30 +11,26 @@ import (
 	"repro/internal/sqltypes"
 )
 
-// Late materialization: operators that only *read* their input through
-// compiled column positions — joins, aggregations, projections, the
-// statement's output projection — pull child rows through execSource instead
-// of exec. Pass-through shapes under the child (scans, filters, sorts, index
-// scans) then skip materializing their declared projection and hand back the
-// storage's own full-width rows; the consumer compiles its expressions
-// against sourceCols, the layout those rows actually carry. Sharing is safe
-// because operators never mutate input rows (the same model spool reads
-// rely on). Materializing operators still emit rows in their plan's declared
-// p.Cols layout, so the exec contract is unchanged everywhere else: spool
-// work tables, the cross-batch cache, and statement results are laid out
-// exactly as before.
+// One data path for pass-through operators: Scan, IndexScan, Filter and Sort
+// are implemented once, by execSource, and never project. They hand back the
+// storage's own full-width rows (filtered, range-restricted or reordered), and
+// operators that only *read* their input through compiled column positions —
+// joins, aggregations, projections, the statement's output projection —
+// compile against sourceCols, the layout those rows actually carry. Sharing
+// is safe because operators never mutate input rows (the same model spool
+// reads rely on). Materializing operators emit rows in their plan's declared
+// p.Cols layout, and exec re-projects a pass-through node to p.Cols once, so
+// spool work tables, the cross-batch cache and statement results are laid
+// out as declared.
 //
-// Under EXPLAIN ANALYZE both functions fall back to the declared layout so
-// every node materializes and per-node actuals stay observable, mirroring
-// how fusion disables itself.
+// EXPLAIN ANALYZE runs this same data path: execSource records the actuals of
+// every node it runs, once per execution, so the reported times are those of
+// production.
 
 // sourceCols reports the column layout execSource(p) will return, without
 // executing anything, so consumers can compile expressions before running
 // the subtree. It must stay in lockstep with execSource's dispatch.
 func (c *Context) sourceCols(p *opt.Plan) []scalar.ColID {
-	if c.stats.analyze {
-		return p.Cols
-	}
 	switch p.Op {
 	case opt.PScan, opt.PIndexScan:
 		return fullColIDs(c.Md.Rel(p.Rel))
@@ -45,50 +42,87 @@ func (c *Context) sourceCols(p *opt.Plan) []scalar.ColID {
 }
 
 // execSource executes a plan subtree for a consumer that reads rows through
-// the sourceCols(p) layout. See the package comment above on late
-// materialization.
+// the sourceCols(p) layout, recording the node's actuals under Analyze. See
+// the package comment above.
 func (c *Context) execSource(p *opt.Plan) ([]sqltypes.Row, error) {
-	if c.ctx != nil {
-		if err := c.ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	if c.stats.analyze {
-		return c.exec(p)
+	if err := c.ctx.Err(); err != nil {
+		return nil, err
 	}
 	switch p.Op {
 	case opt.PScan:
-		return c.scanSource(p)
+		return c.observe(p, c.scanSource)
 	case opt.PIndexScan:
-		return c.indexScanSource(p)
+		return c.observe(p, c.indexScanSource)
 	case opt.PFilter:
-		fn, err := c.compile(p.Filter, layoutOf(c.sourceCols(p)))
-		if err != nil {
-			return nil, err
-		}
-		in, err := c.execSource(p.Children[0])
-		if err != nil {
-			return nil, err
-		}
-		if cd := c.sourceView(p.Children[0], in); cd != nil {
-			if cs := c.buildColSelection(c.substituteSubqueries(p.Filter), cd, layoutOf(c.sourceCols(p))); cs != nil {
-				return c.selectShared(p, in, cs)
-			}
-		}
-		return c.filterShared(p, in, fn)
+		return c.observe(p, c.filterSource)
 	case opt.PSort:
-		keys, err := colPositions(p.SortCols, layoutOf(c.sourceCols(p)), "sort column")
-		if err != nil {
-			return nil, err
-		}
-		in, err := c.execSource(p.Children[0])
-		if err != nil {
-			return nil, err
-		}
-		return sortRows(in, keys), nil
+		return c.observe(p, c.sortSource)
 	default:
-		return c.exec(p)
+		return c.observe(p, c.execNode)
 	}
+}
+
+// reproject lays out rows returned by execSource(p) in p's declared p.Cols
+// layout in one morsel pass. It is skipped when the source layout already is
+// p.Cols, so shared storage rows pass through.
+func (c *Context) reproject(p *opt.Plan, rows []sqltypes.Row) ([]sqltypes.Row, error) {
+	src := c.sourceCols(p)
+	if slices.Equal(src, p.Cols) {
+		return rows, nil
+	}
+	idx, err := colPositions(p.Cols, layoutOf(src), "output column")
+	if err != nil {
+		return nil, err
+	}
+	return c.runMorsels(p, len(rows), func(arena *sqltypes.RowArena, lo, hi int, out *[]sqltypes.Row) error {
+		*out = append(*out, make([]sqltypes.Row, 0, hi-lo)...)
+		for _, r := range rows[lo:hi] {
+			row := arena.NewRow(len(idx))
+			for i, pos := range idx {
+				row[i] = r[pos]
+			}
+			*out = append(*out, row)
+		}
+		return nil
+	})
+}
+
+// filterSource is execSource's filter: the input rows the predicate keeps,
+// shared with the input.
+func (c *Context) filterSource(p *opt.Plan) ([]sqltypes.Row, error) {
+	// Compile before running the child: expression errors surface without
+	// paying for the subtree.
+	layout := layoutOf(c.sourceCols(p))
+	fn, err := c.compile(p.Filter, layout)
+	if err != nil {
+		return nil, err
+	}
+	in, err := c.execSource(p.Children[0])
+	if err != nil {
+		return nil, err
+	}
+	// When the child handed back storage-backed rows (shared scan or spool
+	// work table), filter on their columnar shadow instead.
+	if cd := c.sourceView(p.Children[0], in); cd != nil {
+		if cs := c.buildColSelection(c.substituteSubqueries(p.Filter), cd, layout); cs != nil {
+			return c.selectShared(p, in, cs)
+		}
+	}
+	return c.filterShared(p, in, fn)
+}
+
+// sortSource is execSource's sort: the input rows ascending by the sort
+// columns (NULLs first, matching sqltypes.Compare).
+func (c *Context) sortSource(p *opt.Plan) ([]sqltypes.Row, error) {
+	keys, err := colPositions(p.SortCols, layoutOf(c.sourceCols(p)), "sort column")
+	if err != nil {
+		return nil, err
+	}
+	in, err := c.execSource(p.Children[0])
+	if err != nil {
+		return nil, err
+	}
+	return sortRows(in, keys), nil
 }
 
 // scanSource is execSource's scan leaf: the base table's own rows, filtered

@@ -122,13 +122,6 @@ type Plan struct {
 
 	// PSpoolScan payload.
 	SpoolID int
-
-	// FuseEligible marks a PFilter or PProject whose child chain is zero or
-	// more PFilters over a PScan or PSpoolScan leaf: the executor may collapse
-	// the whole chain into a single fused pass with no intermediate row sets.
-	// Set by Result.MarkFusion after optimization; purely a physical
-	// execution hint, never affects costing or plan shape.
-	FuseEligible bool
 }
 
 // CSEPlan describes a chosen candidate CSE in a final plan: how to compute
@@ -174,39 +167,6 @@ type Result struct {
 	CSEs map[int]*CSEPlan
 	// Cost is the estimated total cost, the paper's "estimated cost" rows.
 	Cost float64
-}
-
-// MarkFusion walks every plan tree in the result (statement plans and CSE
-// plans) and sets FuseEligible on Filter/Project nodes heading a fusible
-// chain. Marking is additive and shape-invariant, so calling it on plans that
-// share subtrees is safe.
-func (r *Result) MarkFusion() {
-	r.Root.markFusion()
-	for _, c := range r.CSEs {
-		c.Plan.markFusion()
-	}
-}
-
-func (p *Plan) markFusion() {
-	if p == nil {
-		return
-	}
-	if (p.Op == PFilter || p.Op == PProject) && p.Children[0].fusibleChain() {
-		p.FuseEligible = true
-	}
-	for _, c := range p.Children {
-		c.markFusion()
-	}
-}
-
-// fusibleChain reports whether the subtree is zero or more stacked PFilters
-// over a PScan or PSpoolScan leaf — the shape execFused knows how to run as
-// one pass.
-func (p *Plan) fusibleChain() bool {
-	for p.Op == PFilter {
-		p = p.Children[0]
-	}
-	return p.Op == PScan || p.Op == PSpoolScan
 }
 
 // UsedSpoolIDs walks the plan and returns the spool IDs it scans.
