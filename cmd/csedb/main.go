@@ -247,16 +247,8 @@ func printResult(res *csedb.BatchResult, maxRows int) {
 	}
 	fmt.Printf("), executed in %v", res.ExecTime)
 	if es := res.ExecStats; es != nil {
-		if es.Sequential {
-			fmt.Printf(" (sequential")
-			if es.FallbackReason != "" {
-				fmt.Printf(": %s", es.FallbackReason)
-			}
-			fmt.Printf(", busy %v)", es.BusyTime.Round(time.Microsecond))
-		} else {
-			fmt.Printf(" (%d workers, %d spool waves, %.0f%% utilized, busy %v)",
-				es.Workers, len(es.Waves), 100*es.Utilization(), es.BusyTime.Round(time.Microsecond))
-		}
+		fmt.Printf(" (%d workers, %.0f%% utilized, busy %v)",
+			es.Workers, 100*es.Utilization(), es.BusyTime.Round(time.Microsecond))
 	}
 	fmt.Println()
 	if res.Trace != nil {

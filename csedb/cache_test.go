@@ -164,7 +164,7 @@ func TestOpenOnCacheStartsCold(t *testing.T) {
 // batches hitting the same entry, a writer bumping source-table versions
 // mid-flight (invalidation racing materialization), and a second database
 // with a budget too small for any entry (constant admit/reject churn).
-// Every batch's results must byte-match the uncached sequential executor.
+// Every batch's results must byte-match an uncached one-worker run.
 func TestCacheConcurrentStress(t *testing.T) {
 	seq := csedb.Open(csedb.Options{CSE: noCSE(), CacheBudget: -1, ExecParallelism: 1})
 	if err := seq.LoadTPCH(0.01, 42); err != nil {

@@ -42,11 +42,11 @@ type Options struct {
 	CSE *core.Settings
 
 	// ExecParallelism sets the executor worker-pool size: 0 (the default)
-	// means parallel execution on with runtime.GOMAXPROCS(0) workers; 1
-	// forces the sequential executor (a determinism-debugging fallback);
-	// n > 1 uses n workers. The same pool budget governs both batch-level
-	// scheduling (spool waves, concurrent statements) and intra-operator
-	// morsel parallelism.
+	// means runtime.GOMAXPROCS(0) workers; n > 0 uses n workers, and 1 runs
+	// the statements one at a time in batch order. The same pool budget
+	// governs both batch-level scheduling (concurrent statements, each spool
+	// materialized by its first reader) and intra-operator morsel
+	// parallelism.
 	ExecParallelism int
 
 	// ExecChunkSize sets the executor's morsel granularity in rows; 0 (the
@@ -67,8 +67,9 @@ type Options struct {
 
 	// SpanTracing records a span tree on every batch: parse, optimization
 	// phases (candidate formation with H1–H4 prune counts, subset
-	// reoptimization), spool waves, per-spool materialization with cache
-	// outcomes and wait times, and per-statement execution. The tree is
+	// reoptimization), per-statement execution, and under each statement
+	// the spools it materialized, with cache outcomes, and its waits on
+	// spools other statements were materializing. The tree is
 	// returned on BatchResult.Spans, retained by the flight recorder, and
 	// exportable in Chrome trace-event format. Off by default: the untraced
 	// path pays one nil check per span site.

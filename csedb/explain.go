@@ -78,11 +78,8 @@ func renderAnalyzed(out *core.Output, md *logical.Metadata, stats *exec.Stats, o
 		sb.WriteByte('\n')
 	}
 
-	fmt.Fprintf(&sb, "execution: workers=%d waves=%d morsels=%d parallel-ops=%d utilization=%.0f%% busy=%s wall=%s\n",
-		stats.Workers, len(stats.Waves), stats.Morsels, stats.ParallelOps, stats.Utilization()*100,
+	fmt.Fprintf(&sb, "execution: workers=%d morsels=%d parallel-ops=%d utilization=%.0f%% busy=%s wall=%s\n",
+		stats.Workers, stats.Morsels, stats.ParallelOps, stats.Utilization()*100,
 		stats.BusyTime.Round(time.Microsecond), stats.WallTime.Round(time.Microsecond))
-	if stats.FallbackReason != "" {
-		fmt.Fprintf(&sb, "sequential fallback: %s\n", stats.FallbackReason)
-	}
 	return sb.String()
 }

@@ -190,12 +190,8 @@ func (db *DB) recordMetrics(nStatements int, stats *core.Stats, es *exec.Stats, 
 	for _, rows := range es.SpoolRows {
 		r.Counter("spool_rows_total").Add(int64(rows))
 	}
-	r.Counter("exec_waves_total").Add(int64(len(es.Waves)))
 	r.Counter("exec_morsels_total").Add(int64(es.Morsels))
 	r.Counter("exec_parallel_ops_total").Add(int64(es.ParallelOps))
-	if es.FallbackReason != "" {
-		r.Counter("exec_sequential_fallbacks_total").Inc()
-	}
 	r.Counter("exec_spools_cached_total").Add(int64(es.CacheHits()))
 	r.Counter("exec_col_selections_total").Add(int64(es.ColSelections))
 	r.Counter("exec_col_hash_passes_total").Add(int64(es.ColHashPasses))

@@ -92,7 +92,7 @@ type Measurement struct {
 	// form, which VerifyAgainst and the sequential re-runs compare.
 	Results string
 
-	// ExecTimeSeq is the batch execution time on the sequential executor
+	// ExecTimeSeq is the batch execution time on one worker
 	// (minimum over reps), measured on the same data; ExecTime is the
 	// configured (by default parallel) executor.
 	ExecTimeSeq time.Duration
@@ -119,9 +119,9 @@ func NewDB(cfg Config, mode Mode) (*csedb.DB, error) {
 
 // RunBatch measures one batch under one mode on a fresh database,
 // re-running it cfg.Reps times and reporting the minimum optimization and
-// execution times. It then re-executes the batch on the sequential executor
-// (same reps) for the parallel-vs-sequential comparison; every sequential
-// run must return the measured run's results.
+// execution times. It then re-executes the batch on one worker (same reps)
+// for the parallel-vs-sequential comparison; every sequential run must
+// return the measured run's results.
 func RunBatch(cfg Config, mode Mode, sql string) (*Measurement, error) {
 	db, err := NewDB(cfg, mode)
 	if err != nil {

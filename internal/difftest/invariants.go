@@ -95,24 +95,19 @@ func groupsKey(gids []int) string {
 // result cache. A spool is demanded by the statements that scan it and by
 // stacked spools that actually ran — a spool whose only consumers were all
 // served from the cache is legitimately never touched (its runs and cache
-// flags both stay zero), so demand is computed from the dependency DAG
+// flags both stay zero), so demand is computed from the plans that ran
 // rather than assumed universal.
 func checkExecInvariants(res *opt.Result, stats *exec.Stats) error {
 	if res == nil || stats == nil {
 		return nil
 	}
-	deps := res.Dependencies()
 	demanded := make(map[int]bool, len(res.CSEs))
-	for _, ids := range deps.StmtSpools {
-		for _, id := range ids {
-			demanded[id] = true
-		}
+	for _, sp := range res.StatementPlans() {
+		sp.UsedSpoolIDs(demanded)
 	}
-	for id := range res.CSEs {
+	for id, cse := range res.CSEs {
 		if stats.SpoolRuns[id] > 0 {
-			for _, dep := range deps.SpoolDeps[id] {
-				demanded[dep] = true
-			}
+			cse.Plan.UsedSpoolIDs(demanded)
 		}
 	}
 

@@ -37,7 +37,7 @@ import (
 type Config struct {
 	Name     string
 	Settings core.Settings
-	// Parallelism: 0 = GOMAXPROCS workers, 1 = sequential executor.
+	// Parallelism: 0 = GOMAXPROCS workers, 1 = one statement at a time.
 	Parallelism int
 	// ChunkSize overrides the morsel granularity (0 = default).
 	ChunkSize int
@@ -48,7 +48,7 @@ type Config struct {
 	Repeat int
 
 	// Observe runs the cell with span tracing enabled end to end (optimizer
-	// phases, waves, spools, statements). Observability must never change
+	// phases, statements, spools). Observability must never change
 	// results — this cell pins that byte-for-byte — and the cell additionally
 	// checks span-lifecycle invariants (no unfinished spans after a clean
 	// run).
@@ -73,7 +73,7 @@ type Config struct {
 
 // Matrix returns the full differential configuration matrix. The first
 // entry is the baseline every other cell is compared against: CSE disabled
-// on the sequential executor — the simplest, most independent path.
+// on one worker — the simplest, most independent path.
 func Matrix() []Config {
 	def := core.DefaultSettings()
 	vary := func(f func(*core.Settings)) core.Settings {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/logical"
 	"repro/internal/opt"
+	"repro/internal/scalar"
 	"repro/internal/storage"
 )
 
@@ -16,28 +17,46 @@ func bareContext(cses map[int]*opt.CSEPlan) *Context {
 }
 
 func TestSpoolErrors(t *testing.T) {
-	// Cyclic dependency: a CSE whose plan scans itself.
-	self := &opt.Plan{Op: opt.PSpoolScan, SpoolID: 1}
-	c := bareContext(map[int]*opt.CSEPlan{1: {ID: 1, Plan: self}})
+	c := bareContext(map[int]*opt.CSEPlan{})
 	if _, err := c.spool(7); err == nil || !strings.Contains(err.Error(), "no plan for CSE") {
 		t.Errorf("missing CSE error = %v", err)
 	}
-	if _, err := c.spool(1); err == nil || !strings.Contains(err.Error(), "cyclic") {
-		t.Errorf("cyclic spool error = %v", err)
-	}
 }
 
+// TestParallelRunRejectsCyclicSpools: a batch whose spools cannot be
+// materialized at first read — a spool cycle, or a spool plan that needs a
+// statement's scalar-subquery value — is rejected before any statement runs,
+// at every pool size. A spool plan that scans a CSE with no plan fails when
+// it is read.
 func TestParallelRunRejectsCyclicSpools(t *testing.T) {
-	res := &opt.Result{
-		Root: &opt.Plan{Op: opt.PRoot, Children: []*opt.Plan{{Op: opt.PSpoolScan, SpoolID: 1}}},
-		CSEs: map[int]*opt.CSEPlan{
+	stmt := &opt.Plan{Op: opt.PRoot, Children: []*opt.Plan{{Op: opt.PSpoolScan, SpoolID: 1}}}
+	cases := []struct {
+		name string
+		cses map[int]*opt.CSEPlan
+		want string
+	}{
+		{"cycle", map[int]*opt.CSEPlan{
 			1: {ID: 1, Plan: &opt.Plan{Op: opt.PSpoolScan, SpoolID: 2}},
 			2: {ID: 2, Plan: &opt.Plan{Op: opt.PSpoolScan, SpoolID: 1}},
-		},
+		}, "cyclic"},
+		{"self-cycle", map[int]*opt.CSEPlan{
+			1: {ID: 1, Plan: &opt.Plan{Op: opt.PSpoolScan, SpoolID: 1}},
+		}, "cyclic"},
+		{"subquery", map[int]*opt.CSEPlan{
+			1: {ID: 1, Plan: &opt.Plan{Op: opt.PScan, Filter: &scalar.Expr{Op: scalar.OpSubquery}}},
+		}, "scalar subquery"},
+		{"unknown dependency", map[int]*opt.CSEPlan{
+			1: {ID: 1, Plan: &opt.Plan{Op: opt.PSpoolScan, SpoolID: 99}},
+		}, "no plan for CSE 99"},
 	}
-	_, _, err := RunWithOptions(context.Background(), res, logical.NewMetadata(), storage.NewStore(), Options{Parallelism: 4})
-	if err == nil || !strings.Contains(err.Error(), "cyclic") {
-		t.Errorf("parallel cyclic spool error = %v", err)
+	for _, tc := range cases {
+		for _, par := range []int{1, 4} {
+			res := &opt.Result{Root: stmt, CSEs: tc.cses}
+			_, _, err := RunWithOptions(context.Background(), res, logical.NewMetadata(), storage.NewStore(), Options{Parallelism: par})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s at parallelism %d: err = %v, want %q", tc.name, par, err, tc.want)
+			}
+		}
 	}
 }
 

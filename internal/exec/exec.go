@@ -5,12 +5,13 @@
 // once per batch execution), and uncorrelated scalar subqueries evaluated
 // once per statement.
 //
-// Batches execute in parallel by default: the spool dependency DAG derived
-// from the optimized plan is materialized in topological waves on a bounded
-// worker pool, then independent statements run concurrently once their
-// spools are ready, with results merged in statement order. Options
-// configures the pool; Parallelism 1 selects the deterministic sequential
-// path.
+// One scheduler runs every batch: each statement is one task on a bounded
+// worker pool, and each spool is materialized by the first consumer that
+// reads it — a statement or a stacked spool — under the spool's sync.Once,
+// while later readers wait for that one computation. Results are merged in
+// statement order. Options configures the pool; Parallelism 1 is the same
+// scheduler with one worker, which runs the statements one at a time in
+// batch order.
 package exec
 
 import (
@@ -39,8 +40,9 @@ type StatementResult struct {
 // Options configures batch execution.
 type Options struct {
 	// Parallelism is the worker-pool size: 0 (or negative) means
-	// runtime.GOMAXPROCS(0); 1 forces the sequential executor, kept as a
-	// fallback for determinism debugging; n > 1 uses n workers.
+	// runtime.GOMAXPROCS(0); n > 0 runs at most n statements at once and
+	// caps intra-operator parallelism at n. 1 runs the statements one at a
+	// time in batch order with no intra-operator helpers.
 	Parallelism int
 
 	// Analyze turns on per-operator instrumentation (rows produced,
@@ -63,8 +65,9 @@ type Options struct {
 	ChunkSize int
 
 	// Span, when non-nil, is the parent span the executor records under:
-	// one child per spool wave, per spool materialization (with cache
-	// hit/miss and wait-for-materialization attributes), and per statement.
+	// one child per statement, and under the statement that first read it
+	// one per spool materialization (with its cache hit/miss attribute) and
+	// one per wait on another reader's materialization.
 	// Nil disables span recording at zero cost.
 	Span *obs.Span
 
@@ -89,15 +92,14 @@ func (o Options) chunkSize() int {
 	return DefaultChunkSize
 }
 
-// spoolEntry is one CSE's shared work table. In parallel mode once
-// guarantees exactly-once materialization across goroutines; the sequential
-// path uses the done flag together with Context.materializing so that
-// cyclic dependencies are reported instead of deadlocking.
+// spoolEntry is one CSE's shared work table. Its first reader materializes
+// it inside once; every other reader blocks in once until rows and err are
+// set. RunWithOptions rejects spool cycles before any reader starts, since a
+// cycle would block its first reader forever.
 type spoolEntry struct {
 	id   int
 	plan *opt.Plan
 	once sync.Once
-	done bool
 	rows []sqltypes.Row
 	err  error
 
@@ -107,30 +109,26 @@ type spoolEntry struct {
 
 	// Cross-batch cache identity: the candidate's canonical spec key and
 	// the base tables its plan reads (lowercase, sorted). key is "" when the
-	// spool is not cacheable (no SpecKey, subquery reference, or no cache).
+	// spool is not cacheable (no SpecKey, or no cache).
 	key     string
 	sources []string
 }
 
-// Context executes one batch plan. In parallel mode every statement (and
-// every spool-materialization worker) gets its own shallow copy with a
-// private subqueryVals map; the spool table and stats are shared.
+// Context executes one batch plan. Every statement task gets its own shallow
+// copy with a private subqueryVals map; the spool table and stats are shared.
 type Context struct {
 	Store *storage.Store
 	Md    *logical.Metadata
 	CSEs  map[int]*opt.CSEPlan
 
-	ctx           context.Context
-	parallel      bool
-	spools        map[int]*spoolEntry
-	materializing map[int]bool
-	subqueryVals  map[int]sqltypes.Datum
-	stats         *collector
-	cache         *cache.Cache
+	ctx          context.Context
+	spools       map[int]*spoolEntry
+	subqueryVals map[int]sqltypes.Datum
+	stats        *collector
+	cache        *cache.Cache
 
-	// span is the enclosing span new work records under: the wave span for
-	// spool workers, the statement span for statement execution. Nil when
-	// span tracing is off.
+	// span is the enclosing span new work records under: the statement span
+	// of the task. Nil when span tracing is off.
 	span *obs.Span
 
 	// Intra-operator parallelism: workers is the degree budget shared with
@@ -156,30 +154,27 @@ func newContext(ctx context.Context, res *opt.Result, md *logical.Metadata, stor
 	// larger.
 	intraOp := min(workers, runtime.GOMAXPROCS(0))
 	c := &Context{
-		Store:         store,
-		Md:            md,
-		CSEs:          res.CSEs,
-		ctx:           ctx,
-		spools:        make(map[int]*spoolEntry, len(res.CSEs)),
-		materializing: make(map[int]bool),
-		subqueryVals:  make(map[int]sqltypes.Datum),
-		stats:         stats,
-		cache:         opts.Cache,
-		span:          opts.Span,
-		workers:       intraOp,
-		chunkSize:     opts.chunkSize(),
-		colPlane:      !opts.NoColPlane,
+		Store:        store,
+		Md:           md,
+		CSEs:         res.CSEs,
+		ctx:          ctx,
+		spools:       make(map[int]*spoolEntry, len(res.CSEs)),
+		subqueryVals: make(map[int]sqltypes.Datum),
+		stats:        stats,
+		cache:        opts.Cache,
+		span:         opts.Span,
+		workers:      intraOp,
+		chunkSize:    opts.chunkSize(),
+		colPlane:     !opts.NoColPlane,
 	}
 	if intraOp > 1 {
 		c.pool = make(chan struct{}, intraOp-1)
 	}
 	for id, cse := range res.CSEs {
 		e := &spoolEntry{id: id, plan: cse.Plan}
-		if opts.Cache != nil && cse.SpecKey != "" && !cse.Plan.ReferencesSubquery() {
+		if opts.Cache != nil && cse.SpecKey != "" {
 			// Resolve the plan's base tables (through stacked spools) so a
-			// lookup can snapshot their versions; a spool whose rows depend
-			// on a scalar subquery is never cached — its result is
-			// batch-local.
+			// lookup can snapshot their versions.
 			set := make(map[string]bool)
 			cse.Plan.SourceTables(md, res.CSEs, set)
 			e.key = cse.SpecKey
@@ -204,7 +199,6 @@ func sortedNames(set map[string]bool) []string {
 func (c *Context) fork(ctx context.Context) *Context {
 	cc := *c
 	cc.ctx = ctx
-	cc.materializing = make(map[int]bool)
 	cc.subqueryVals = make(map[int]sqltypes.Datum)
 	return &cc
 }
@@ -212,10 +206,11 @@ func (c *Context) fork(ctx context.Context) *Context {
 // RunWithOptions executes an optimized batch on a worker pool of the
 // configured size and returns per-statement results with execution
 // statistics — each CSE appears exactly once in the spool stats regardless
-// of its number of consumers. The parallel scheduler materializes spools in
-// topological waves, then runs statements concurrently; the first error (or
-// a context cancellation) cancels all remaining work. Results are returned
-// in statement order and are identical to sequential execution.
+// of its number of consumers. It first rejects spools that cannot be
+// materialized at first read (opt.Result.CheckSpools), then runs the
+// statements as tasks; the first error (or a context cancellation) cancels
+// all remaining work. Results are returned in statement order and are the
+// same at every pool size.
 func RunWithOptions(ctx context.Context, res *opt.Result, md *logical.Metadata, store *storage.Store, opts Options) ([]*StatementResult, *Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -226,20 +221,15 @@ func RunWithOptions(ctx context.Context, res *opt.Result, md *logical.Metadata, 
 			return nil, nil, fmt.Errorf("statement plan has op %s, want Output", planOp(sp))
 		}
 	}
+	if err := res.CheckSpools(); err != nil {
+		return nil, nil, err
+	}
 	workers := opts.workers()
 	stats := newCollector(len(stmtPlans), workers, opts.Analyze)
 	c := newContext(ctx, res, md, store, stats, opts)
 
 	start := time.Now()
-	var out []*StatementResult
-	var err error
-	if workers <= 1 {
-		stats.sequential = true
-		stats.workers = 1
-		out, err = c.runSequential(stmtPlans)
-	} else {
-		out, err = c.runParallel(res, stmtPlans, workers)
-	}
+	out, err := c.run(stmtPlans, workers)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -251,32 +241,6 @@ func planOp(p *opt.Plan) string {
 		return "<nil>"
 	}
 	return p.Op.String()
-}
-
-// runSequential is the deterministic fallback: statements in order, spools
-// materialized lazily at first use.
-func (c *Context) runSequential(stmtPlans []*opt.Plan) ([]*StatementResult, error) {
-	out := make([]*StatementResult, 0, len(stmtPlans))
-	parent := c.span
-	for i, sp := range stmtPlans {
-		start := time.Now()
-		ss := parent.Child("statement")
-		ss.SetAttr("stmt", i)
-		// Lazily materialized spools nest under the statement that first
-		// touched them.
-		c.span = ss
-		sr, err := c.runStatement(sp)
-		c.span = parent
-		if err != nil {
-			ss.End()
-			return nil, err
-		}
-		ss.SetAttr("rows", len(sr.Rows))
-		ss.End()
-		c.stats.recordStmt(i, time.Since(start))
-		out = append(out, sr)
-	}
-	return out, nil
 }
 
 func (c *Context) runStatement(p *opt.Plan) (*StatementResult, error) {
@@ -307,7 +271,7 @@ func (c *Context) runStatement(p *opt.Plan) (*StatementResult, error) {
 		return nil, err
 	}
 	// The output projection is a morsel pass like any other operator: arena
-	// rows and (in parallel mode) per-worker output slabs.
+	// rows and (with intra-op helpers) per-worker output slabs.
 	out, err := c.runMorsels(p, len(rows), func(arena *sqltypes.RowArena, lo, hi int, out *[]sqltypes.Row) error {
 		*out = append(*out, make([]sqltypes.Row, 0, hi-lo)...)
 		for _, r := range rows[lo:hi] {
@@ -452,8 +416,7 @@ func (c *Context) execNode(p *opt.Plan) ([]sqltypes.Row, error) {
 	case opt.PProject:
 		return c.execProject(p)
 	case opt.PSpoolScan:
-		// Every spool scan is one read of the shared work table; the
-		// scheduler's own materialization calls bypass this path.
+		// Every spool scan is one read of the shared work table.
 		c.stats.recordSpoolHit(p.SpoolID)
 		return c.spool(p.SpoolID)
 	default:
@@ -461,49 +424,37 @@ func (c *Context) execNode(p *opt.Plan) ([]sqltypes.Row, error) {
 	}
 }
 
-// spool returns the materialized work table for a candidate CSE, computing
-// it on first use. All consumers — including other CSE plans — share the
-// result. In parallel mode the per-entry sync.Once makes the computation
-// exactly-once across goroutines (the scheduler has already rejected
-// cycles); the sequential path tracks the in-flight chain to report cycles.
+// spool returns the materialized work table for a candidate CSE. All
+// consumers — including other CSE plans — share one result: the first reader
+// materializes it inside the entry's sync.Once and every other reader blocks
+// there until it is done. The time a reader spends blocked is subtracted from
+// the batch's busy time and, when it is long enough to matter, recorded as a
+// spool-wait span naming the CSE.
 func (c *Context) spool(id int) ([]sqltypes.Row, error) {
 	e, ok := c.spools[id]
 	if !ok {
 		return nil, fmt.Errorf("no plan for CSE %d", id)
 	}
-	if c.parallel {
-		if c.span == nil {
-			e.once.Do(func() { e.materialize(c) })
-			return e.rows, e.err
-		}
-		// Speculatively time the wait on another goroutine's materialization;
-		// if this goroutine ran it itself, or the wait never blocked, the span
-		// is discarded rather than cluttering the tree.
-		ran := false
-		ws := c.span.Child("spool-wait")
-		e.once.Do(func() {
-			ran = true
-			e.materialize(c)
-		})
+	start := time.Now()
+	ran := false
+	ws := c.span.Child("spool-wait")
+	e.once.Do(func() {
+		ran = true
+		e.materialize(c)
+	})
+	if ran {
+		ws.Discard()
+		return e.rows, e.err
+	}
+	wait := time.Since(start)
+	c.stats.recordBlocked(wait)
+	if wait < 10*time.Microsecond {
+		ws.Discard()
+	} else {
 		ws.End()
-		if ran || ws.Dur() < 10*time.Microsecond {
-			ws.Discard()
-		} else {
-			ws.SetAttr("cse", e.id)
-			ws.SetAttr("wait_us", ws.Dur().Microseconds())
-		}
-		return e.rows, e.err
+		ws.SetAttr("cse", e.id)
+		ws.SetAttr("wait_us", wait.Microseconds())
 	}
-	if e.done {
-		return e.rows, e.err
-	}
-	if c.materializing[id] {
-		return nil, fmt.Errorf("cyclic spool dependency on CSE %d", id)
-	}
-	c.materializing[id] = true
-	e.materialize(c)
-	c.materializing[id] = false
-	e.done = true
 	return e.rows, e.err
 }
 

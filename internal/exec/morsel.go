@@ -3,6 +3,7 @@ package exec
 import (
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/opt"
 	"repro/internal/sqltypes"
@@ -113,7 +114,8 @@ func (c *Context) runParts(p *opt.Plan, nParts int, work func(part int) error) e
 
 // runWorkers runs the worker loop on this goroutine plus as many helpers
 // (up to want-1) as the batch-wide intra-op pool can lend, returning the
-// first error. It records the operator's morsel count and achieved degree.
+// first error. It records the operator's morsel count and achieved degree,
+// and each helper's run time as busy time.
 func (c *Context) runWorkers(p *opt.Plan, nMorsels, want int, worker func() error) error {
 	helpers := 0
 acquire:
@@ -136,7 +138,9 @@ acquire:
 		i := i
 		wg.Add(1)
 		go func() {
+			start := time.Now()
 			defer func() {
+				c.stats.recordHelper(time.Since(start))
 				<-c.pool
 				wg.Done()
 			}()

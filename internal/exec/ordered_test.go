@@ -71,13 +71,12 @@ func orderedFixture(t *testing.T) (*Context, *opt.Plan, *opt.Plan, []scalar.ColI
 		Rows:     5,
 	}
 	ctx := &Context{
-		ctx:           context.Background(),
-		Store:         st,
-		Md:            md,
-		spools:        map[int]*spoolEntry{},
-		materializing: map[int]bool{},
-		subqueryVals:  map[int]sqltypes.Datum{},
-		stats:         newCollector(1, 1, false),
+		ctx:          context.Background(),
+		Store:        st,
+		Md:           md,
+		spools:       map[int]*spoolEntry{},
+		subqueryVals: map[int]sqltypes.Datum{},
+		stats:        newCollector(1, 1, false),
 	}
 	return ctx, lscan, rscan,
 		[]scalar.ColID{lrel.ColID(0)}, []scalar.ColID{rrel.ColID(0)}

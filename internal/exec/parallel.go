@@ -8,71 +8,28 @@ import (
 	"repro/internal/opt"
 )
 
-// runParallel is the DAG scheduler: spools are materialized in topological
-// waves on a bounded worker pool, then statements run concurrently, each
-// with a private Context fork. The first error cancels everything in
-// flight; results are merged in statement order.
-func (c *Context) runParallel(res *opt.Result, stmtPlans []*opt.Plan, workers int) ([]*StatementResult, error) {
-	deps := res.Dependencies()
-	if deps.AnySpoolSubquery() {
-		// A spool whose plan references a scalar-subquery value can only be
-		// computed after the owning statement evaluated the subquery, which
-		// only the lazy sequential executor orders correctly.
-		c.stats.sequential = true
-		c.stats.workers = 1
-		c.stats.fallback = "a spool plan references a scalar subquery"
-		c.workers = 1 // the fallback is fully sequential: no intra-op helpers
-		return c.runSequential(stmtPlans)
-	}
-	waves, err := deps.Waves()
-	if err != nil {
-		return nil, err
-	}
-	c.parallel = true
-	c.stats.waves = waves
-
-	// Phase 1: materialize spools wave by wave; within a wave every spool
-	// only depends on completed waves, so all of them can run concurrently.
-	for w, wave := range waves {
-		waveSpan := c.span.Child("wave")
-		waveSpan.SetAttr("wave", w)
-		waveSpan.SetAttr("spools", len(wave))
-		g := newGroup(c.ctx, workers)
-		for _, id := range wave {
-			id := id
-			g.Go(func(ctx context.Context) error {
-				cc := c.fork(ctx)
-				cc.span = waveSpan
-				_, err := cc.spool(id)
-				return err
-			})
-		}
-		err := g.Wait()
-		waveSpan.End()
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// Phase 2: statements are independent once their spools exist; run them
-	// concurrently and merge by position.
+// run is the batch scheduler: every statement is one task on a pool of
+// workers slots, each with a private Context fork, and a spool is
+// materialized by the first consumer that reads it (see spool). With one
+// worker the statements run one at a time in batch order. The first error
+// cancels everything in flight; results are stored by position.
+func (c *Context) run(stmtPlans []*opt.Plan, workers int) ([]*StatementResult, error) {
 	out := make([]*StatementResult, len(stmtPlans))
 	g := newGroup(c.ctx, workers)
 	for i, sp := range stmtPlans {
-		i, sp := i, sp
 		g.Go(func(ctx context.Context) error {
 			start := time.Now()
 			ss := c.span.Child("statement")
 			ss.SetAttr("stmt", i)
+			defer ss.End()
+			// Spools this statement reads first nest under its span.
 			cc := c.fork(ctx)
 			cc.span = ss
 			sr, err := cc.runStatement(sp)
 			if err != nil {
-				ss.End()
 				return err
 			}
 			ss.SetAttr("rows", len(sr.Rows))
-			ss.End()
 			c.stats.recordStmt(i, time.Since(start))
 			out[i] = sr
 			return nil

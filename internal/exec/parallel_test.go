@@ -3,6 +3,7 @@ package exec_test
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -26,9 +27,9 @@ func renderResults(rs []*exec.StatementResult) string {
 }
 
 // TestParallelMatchesSequentialStress executes a TPC-H batch with many
-// shared (and stacked) spools on a wide worker pool under the race
-// detector, asserting each spool materializes exactly once and that results
-// byte-match the sequential executor.
+// shared (and stacked) spools on one worker and on a wide pool under the
+// race detector, asserting each spool materializes exactly once at both
+// sizes and that the wide pool's results byte-match the one-worker run.
 func TestParallelMatchesSequentialStress(t *testing.T) {
 	s := core.DefaultSettings()
 	db := csedb.Open(csedb.Options{CSE: &s})
@@ -48,12 +49,21 @@ func TestParallelMatchesSequentialStress(t *testing.T) {
 	}
 
 	ctx := context.Background()
+	exactlyOnce := func(label string, st *exec.Stats) {
+		t.Helper()
+		for id := range out.Result.CSEs {
+			if n := st.SpoolRuns[id]; n != 1 {
+				t.Errorf("%s: CSE %d materialized %d times, want exactly once", label, id, n)
+			}
+		}
+	}
 	seqRes, seqStats, err := exec.RunWithOptions(ctx, out.Result, md, db.Store(), exec.Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !seqStats.Sequential {
-		t.Error("Parallelism=1 must select the sequential executor")
+	exactlyOnce("parallelism 1", seqStats)
+	if seqStats.Workers != 1 {
+		t.Errorf("parallelism 1: workers = %d, want 1", seqStats.Workers)
 	}
 	want := renderResults(seqRes)
 
@@ -62,31 +72,44 @@ func TestParallelMatchesSequentialStress(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if parStats.Sequential {
-			t.Fatalf("parallel run fell back to sequential: %s", parStats.FallbackReason)
-		}
 		if got := renderResults(parRes); got != want {
-			t.Fatalf("rep %d: parallel results differ from sequential\nparallel:\n%s\nsequential:\n%s", rep, got, want)
+			t.Fatalf("rep %d: parallel results differ from one worker\nparallel:\n%s\none worker:\n%s", rep, got, want)
 		}
-		if len(parStats.SpoolRuns) != len(out.Result.CSEs) {
-			t.Errorf("rep %d: %d spools materialized, want %d", rep, len(parStats.SpoolRuns), len(out.Result.CSEs))
-		}
-		for id, n := range parStats.SpoolRuns {
-			if n != 1 {
-				t.Errorf("rep %d: CSE %d materialized %d times, want exactly once", rep, id, n)
-			}
-		}
+		exactlyOnce(fmt.Sprintf("rep %d at parallelism 8", rep), parStats)
 		for id, rows := range seqStats.SpoolRows {
 			if parStats.SpoolRows[id] != rows {
-				t.Errorf("rep %d: CSE %d spooled %d rows in parallel, %d sequential", rep, id, parStats.SpoolRows[id], rows)
+				t.Errorf("rep %d: CSE %d spooled %d rows at parallelism 8, %d at 1", rep, id, parStats.SpoolRows[id], rows)
 			}
-		}
-		if len(parStats.Waves) == 0 {
-			t.Errorf("rep %d: parallel run recorded no spool waves", rep)
 		}
 		if parStats.Workers != 8 {
 			t.Errorf("rep %d: workers = %d, want 8", rep, parStats.Workers)
 		}
+	}
+}
+
+// TestUtilizationCountsHelpers: a one-statement batch has one statement
+// task, so at Parallelism 2 its utilization can exceed one half only when
+// the time of the intra-op helpers its operators borrow is counted as busy.
+func TestUtilizationCountsHelpers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	s := core.DefaultSettings()
+	db := csedb.Open(csedb.Options{CSE: &s})
+	if err := db.LoadTPCH(0.01, 42); err != nil {
+		t.Fatal(err)
+	}
+	out, md, err := db.Optimize(bench.Example1Q1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, st, err := exec.RunWithOptions(context.Background(), out.Result, md, db.Store(), exec.Options{Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.ParallelOps == 0 {
+		t.Fatal("no operator ran with a helper; the batch cannot show helper time")
+	}
+	if u := st.Utilization(); u <= 0.5 {
+		t.Errorf("utilization = %.2f with %d parallel ops, want > 0.5 (busy %v, wall %v)", u, st.ParallelOps, st.BusyTime, st.WallTime)
 	}
 }
 
@@ -113,8 +136,8 @@ select id from emp where salary > 60 order by id;`
 	if par.ExecStats == nil || seq.ExecStats == nil {
 		t.Fatal("BatchResult.ExecStats not populated")
 	}
-	if !seq.ExecStats.Sequential {
-		t.Error("ExecParallelism=1 must report a sequential run")
+	if seq.ExecStats.Workers != 1 {
+		t.Errorf("one-worker run reports %d workers, want 1", seq.ExecStats.Workers)
 	}
 	if par.ExecStats.Workers != 4 {
 		t.Errorf("parallel workers = %d, want 4", par.ExecStats.Workers)

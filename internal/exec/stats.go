@@ -44,25 +44,20 @@ type Stats struct {
 	// instead of being materialized; such spools have no SpoolRuns entry.
 	SpoolCached map[int]bool
 
-	// StmtTimes is the wall-clock execution time of each statement (spool
-	// materialization excluded when it happened in the spool phase).
+	// StmtTimes is the wall-clock time of each statement's task. It includes
+	// the spools the statement read first, and so materialized itself, and
+	// any time it spent blocked on a spool another reader was materializing.
 	StmtTimes []time.Duration
 
-	// Workers is the worker-pool size the batch ran with (1 = sequential).
+	// Workers is the worker-pool size the batch ran with: at most this many
+	// statements run at once.
 	Workers int
 
-	// Waves is the topological spool schedule: each inner slice is one wave
-	// of spools materialized concurrently. Empty in sequential mode.
-	Waves [][]int
-
-	// Sequential records that the batch ran on the sequential path, and
-	// FallbackReason says why when that was not requested explicitly.
-	Sequential     bool
-	FallbackReason string
-
 	// Morsels is the total number of row chunks dispatched to the intra-op
-	// worker pool; ParallelOps counts operator executions that actually ran
-	// with more than one worker. Both are 0 for sequential batches.
+	// worker pool; ParallelOps counts operator executions split across it.
+	// Both depend only on the plan, the data and the pool size, and are 0
+	// when the pool has one worker. How many helpers an operator actually
+	// got depends on what ran beside it; Analyze reports it as NodeStats.Par.
 	Morsels     int
 	ParallelOps int
 
@@ -73,8 +68,10 @@ type Stats struct {
 	ColSelections int
 	ColHashPasses int
 
-	// WallTime is the total batch execution time; BusyTime is the summed
-	// spool and statement work time across workers.
+	// WallTime is the total batch execution time. BusyTime is the work time
+	// of every goroutine the batch ran: Σ StmtTimes, minus the time readers
+	// spent blocked on another reader's spool materialization, plus the time
+	// intra-operator helper goroutines spent running morsels.
 	WallTime time.Duration
 	BusyTime time.Duration
 
@@ -87,9 +84,11 @@ type Stats struct {
 // result cache.
 func (s *Stats) CacheHits() int { return len(s.SpoolCached) }
 
-// Utilization is the fraction of available worker time spent doing spool or
-// statement work: BusyTime / (WallTime × Workers). Sequential runs are ~1;
-// a parallel run limited by one long chain approaches 1/Workers.
+// Utilization is the fraction of available worker time spent doing work:
+// BusyTime / (WallTime × Workers). A one-worker run is ~1. A run limited by
+// one chain of work approaches 1/Workers unless its operators borrow
+// intra-op helpers; helpers running beside a full pool of statements can
+// lift it slightly above 1.
 func (s *Stats) Utilization() float64 {
 	if s.WallTime <= 0 || s.Workers <= 0 {
 		return 0
@@ -109,10 +108,9 @@ type collector struct {
 	spoolHits   map[int]int
 	spoolCached map[int]bool
 	stmtTimes   []time.Duration
+	blocked     time.Duration
+	helpers     time.Duration
 	workers     int
-	waves       [][]int
-	sequential  bool
-	fallback    string
 	morsels     int
 	parallelOps int
 	colSelects  int
@@ -182,15 +180,29 @@ func (s *collector) recordStmt(i int, d time.Duration) {
 	s.stmtTimes[i] = d
 }
 
+// recordBlocked notes time a reader spent blocked on a spool that another
+// reader was materializing.
+func (s *collector) recordBlocked(d time.Duration) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.blocked += d
+}
+
+// recordHelper notes time one intra-op helper goroutine spent running
+// morsels.
+func (s *collector) recordHelper(d time.Duration) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.helpers += d
+}
+
 // recordMorsels notes one intra-op parallel pass of a plan node: how many
 // morsels it dispatched and the worker degree it achieved.
 func (s *collector) recordMorsels(p *opt.Plan, morsels, degree int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.morsels += morsels
-	if degree > 1 {
-		s.parallelOps++
-	}
+	s.parallelOps++
 	if s.nodes != nil {
 		ns, ok := s.nodes[p]
 		if !ok {
@@ -217,33 +229,26 @@ func (s *collector) recordNode(p *opt.Plan, rows int, d time.Duration) {
 	ns.Execs++
 }
 
-// snapshot freezes the collector into a plain Stats value. Sequential
-// statements materialize spools lazily inside the statement, so their spool
-// time is already part of stmtTimes and is not added to BusyTime twice.
+// snapshot freezes the collector into a plain Stats value. Spools are
+// materialized inside the statement that read them first, so their time is
+// already part of stmtTimes and is not added to BusyTime again.
 func (s *collector) snapshot(wall time.Duration) *Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := &Stats{
-		SpoolRows:      s.spoolRows,
-		SpoolTimes:     s.spoolTimes,
-		SpoolRuns:      s.spoolRuns,
-		SpoolHits:      s.spoolHits,
-		SpoolCached:    s.spoolCached,
-		StmtTimes:      s.stmtTimes,
-		Workers:        s.workers,
-		Waves:          s.waves,
-		Sequential:     s.sequential,
-		FallbackReason: s.fallback,
-		Morsels:        s.morsels,
-		ParallelOps:    s.parallelOps,
-		ColSelections:  s.colSelects,
-		ColHashPasses:  s.colHashes,
-		WallTime:       wall,
-	}
-	if !s.sequential {
-		for _, d := range s.spoolTimes {
-			out.BusyTime += d
-		}
+		SpoolRows:     s.spoolRows,
+		SpoolTimes:    s.spoolTimes,
+		SpoolRuns:     s.spoolRuns,
+		SpoolHits:     s.spoolHits,
+		SpoolCached:   s.spoolCached,
+		StmtTimes:     s.stmtTimes,
+		Workers:       s.workers,
+		Morsels:       s.morsels,
+		ParallelOps:   s.parallelOps,
+		ColSelections: s.colSelects,
+		ColHashPasses: s.colHashes,
+		WallTime:      wall,
+		BusyTime:      s.helpers - s.blocked,
 	}
 	for _, d := range s.stmtTimes {
 		out.BusyTime += d

@@ -13,8 +13,8 @@ import (
 // *Span, and every Span method no-ops on a nil receiver, so call sites thread
 // spans unconditionally and disabled tracing costs a pointer check.
 //
-// Spans are cheap but not free — the engine starts one per phase, wave,
-// spool, and statement, never per row or per morsel.
+// Spans are cheap but not free — the engine starts one per phase,
+// statement, and spool, never per row or per morsel.
 type SpanRecorder struct {
 	mu    sync.Mutex
 	base  time.Time
@@ -305,7 +305,7 @@ func ChromeTrace(roots []*SpanNode) ([]byte, error) {
 	// their parents by sharing the parent's track when they fit. Chrome
 	// nests same-tid events by time containment, so the simple rule — tid =
 	// first track at which the span does not overlap a previously placed
-	// *sibling-level* span — renders correctly for our phase/wave/spool
+	// *sibling-level* span — renders correctly for our phase/statement/spool
 	// shapes. Stable order: by start time, then by tree order.
 	sort.SliceStable(all, func(i, j int) bool { return all[i].n.StartUS < all[j].n.StartUS })
 	type track struct{ lastEnd map[int]int64 } // per depth, last end placed

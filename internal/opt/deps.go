@@ -7,31 +7,6 @@ import (
 	"repro/internal/scalar"
 )
 
-// BatchDeps is the dependency metadata of an optimized batch: which spools
-// (candidate CSE work tables) each statement consumes and which spools each
-// spool's own plan consumes. The executor uses it to schedule spool
-// materialization in topological waves and to run independent statements
-// concurrently once their spools are ready.
-type BatchDeps struct {
-	// Statements holds the per-statement plans in batch order (the children
-	// of the PSeq root, or the single PRoot plan).
-	Statements []*Plan
-
-	// StmtSpools lists, per statement, the spool IDs the statement's plan
-	// scans anywhere (including inside scalar-subquery plans), sorted.
-	StmtSpools [][]int
-
-	// SpoolDeps maps each spool ID to the sorted spool IDs its plan scans;
-	// every spool of the batch has an entry (possibly empty).
-	SpoolDeps map[int][]int
-
-	// SpoolSubquery marks spools whose plans reference a scalar-subquery
-	// value. Such spools can only be materialized after the owning
-	// statement evaluated the subquery, so the executor must fall back to
-	// sequential, lazy materialization for the batch.
-	SpoolSubquery map[int]bool
-}
-
 // StatementPlans flattens the batch root into per-statement plans.
 func (r *Result) StatementPlans() []*Plan {
 	if r.Root != nil && r.Root.Op == PSeq {
@@ -40,87 +15,54 @@ func (r *Result) StatementPlans() []*Plan {
 	return []*Plan{r.Root}
 }
 
-// Dependencies derives the batch's spool/statement dependency DAG.
-func (r *Result) Dependencies() *BatchDeps {
-	d := &BatchDeps{
-		Statements:    r.StatementPlans(),
-		SpoolDeps:     make(map[int][]int, len(r.CSEs)),
-		SpoolSubquery: make(map[int]bool),
+// CheckSpools verifies that every spool of the batch can be materialized by
+// its first reader: no spool plan references a scalar-subquery value (its
+// rows would then depend on which statement read it first), and the
+// spool-on-spool dependencies form no cycle (the first reader of a cycle
+// would wait on itself forever). Dependencies on spool IDs without a plan
+// are ignored here; execution reports them.
+func (r *Result) CheckSpools() error {
+	ids := make([]int, 0, len(r.CSEs))
+	for id := range r.CSEs {
+		ids = append(ids, id)
 	}
-	d.StmtSpools = make([][]int, len(d.Statements))
-	for i, sp := range d.Statements {
+	sort.Ints(ids)
+	for _, id := range ids {
+		if r.CSEs[id].Plan.ReferencesSubquery() {
+			return fmt.Errorf("CSE %d: spool plan references a scalar subquery", id)
+		}
+	}
+	// Depth-first search; a spool met again while on the stack closes a
+	// cycle.
+	const onStack, done = 1, 2
+	state := make(map[int]int, len(ids))
+	var visit func(id int) error
+	visit = func(id int) error {
+		switch state[id] {
+		case onStack:
+			return fmt.Errorf("cyclic spool dependency through CSE %d", id)
+		case done:
+			return nil
+		}
+		state[id] = onStack
 		used := make(map[int]bool)
-		sp.UsedSpoolIDs(used)
-		d.StmtSpools[i] = sortedIDs(used)
-	}
-	for id, cse := range r.CSEs {
-		used := make(map[int]bool)
-		cse.Plan.UsedSpoolIDs(used)
-		d.SpoolDeps[id] = sortedIDs(used)
-		if cse.Plan.ReferencesSubquery() {
-			d.SpoolSubquery[id] = true
-		}
-	}
-	return d
-}
-
-// AnySpoolSubquery reports whether any spool plan references a scalar
-// subquery value and therefore cannot be materialized ahead of statements.
-func (d *BatchDeps) AnySpoolSubquery() bool { return len(d.SpoolSubquery) > 0 }
-
-// Waves orders the spool IDs into topological levels: every spool in wave k
-// depends only on spools in waves < k, so all spools within one wave can be
-// materialized concurrently. Dependencies on unknown spool IDs are ignored
-// here (execution reports them); a dependency cycle is an error.
-func (d *BatchDeps) Waves() ([][]int, error) {
-	// Kahn's algorithm by levels over the known spool set.
-	indeg := make(map[int]int, len(d.SpoolDeps))
-	consumers := make(map[int][]int, len(d.SpoolDeps))
-	for id, deps := range d.SpoolDeps {
-		if _, ok := indeg[id]; !ok {
-			indeg[id] = 0
-		}
-		for _, dep := range deps {
-			if _, known := d.SpoolDeps[dep]; !known {
-				continue
-			}
-			indeg[id]++
-			consumers[dep] = append(consumers[dep], id)
-		}
-	}
-	var waves [][]int
-	frontier := make([]int, 0, len(indeg))
-	for id, n := range indeg {
-		if n == 0 {
-			frontier = append(frontier, id)
-		}
-	}
-	placed := 0
-	for len(frontier) > 0 {
-		sort.Ints(frontier)
-		waves = append(waves, frontier)
-		placed += len(frontier)
-		var next []int
-		for _, id := range frontier {
-			for _, c := range consumers[id] {
-				indeg[c]--
-				if indeg[c] == 0 {
-					next = append(next, c)
+		r.CSEs[id].Plan.UsedSpoolIDs(used)
+		for dep := range used {
+			if _, known := r.CSEs[dep]; known {
+				if err := visit(dep); err != nil {
+					return err
 				}
 			}
 		}
-		frontier = next
+		state[id] = done
+		return nil
 	}
-	if placed != len(indeg) {
-		cyclic := make(map[int]bool, len(indeg)-placed)
-		for id, n := range indeg {
-			if n > 0 {
-				cyclic[id] = true
-			}
+	for _, id := range ids {
+		if err := visit(id); err != nil {
+			return err
 		}
-		return nil, fmt.Errorf("cyclic spool dependency among CSEs %v", sortedIDs(cyclic))
 	}
-	return waves, nil
+	return nil
 }
 
 // ReferencesSubquery reports whether any scalar expression in the plan tree
@@ -163,13 +105,4 @@ func exprHasSubquery(e *scalar.Expr) bool {
 		}
 	}
 	return false
-}
-
-func sortedIDs(set map[int]bool) []int {
-	out := make([]int, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Ints(out)
-	return out
 }

@@ -11,7 +11,7 @@ func spoolScan(id int) *Plan { return &Plan{Op: PSpoolScan, SpoolID: id} }
 
 func cseOn(id int, plan *Plan) *CSEPlan { return &CSEPlan{ID: id, Plan: plan} }
 
-func TestDependenciesAndWaves(t *testing.T) {
+func TestCheckSpoolsAcceptsStackedDAG(t *testing.T) {
 	// Statement 1 uses spools 1 and 3; statement 2 uses spool 3.
 	// Spool 3 is stacked on spools 1 and 2; spools 1 and 2 are base.
 	stmt1 := &Plan{Op: PRoot, Children: []*Plan{
@@ -26,58 +26,53 @@ func TestDependenciesAndWaves(t *testing.T) {
 			3: cseOn(3, &Plan{Op: PNLJoin, Children: []*Plan{spoolScan(1), spoolScan(2)}}),
 		},
 	}
-	d := res.Dependencies()
-	if len(d.Statements) != 2 {
-		t.Fatalf("statements = %d, want 2", len(d.Statements))
-	}
-	wantStmt := [][]int{{1, 3}, {3}}
-	for i, want := range wantStmt {
-		if got := d.StmtSpools[i]; !equalInts(got, want) {
-			t.Errorf("StmtSpools[%d] = %v, want %v", i, got, want)
-		}
-	}
-	if got := d.SpoolDeps[3]; !equalInts(got, []int{1, 2}) {
-		t.Errorf("SpoolDeps[3] = %v, want [1 2]", got)
-	}
-	if d.AnySpoolSubquery() {
-		t.Error("no spool references a subquery")
-	}
-	waves, err := d.Waves()
-	if err != nil {
+	if err := res.CheckSpools(); err != nil {
 		t.Fatal(err)
 	}
-	if len(waves) != 2 || !equalInts(waves[0], []int{1, 2}) || !equalInts(waves[1], []int{3}) {
-		t.Errorf("waves = %v, want [[1 2] [3]]", waves)
+	if got := len(res.StatementPlans()); got != 2 {
+		t.Errorf("statements = %d, want 2", got)
 	}
 }
 
-func TestWavesDetectsCycle(t *testing.T) {
+func TestCheckSpoolsRejectsCycle(t *testing.T) {
 	res := &Result{
 		Root: &Plan{Op: PRoot, Children: []*Plan{spoolScan(1)}},
 		CSEs: map[int]*CSEPlan{
 			1: cseOn(1, spoolScan(2)),
-			2: cseOn(2, spoolScan(1)),
+			2: cseOn(2, &Plan{Op: PFilter, Children: []*Plan{spoolScan(3)}}),
+			3: cseOn(3, spoolScan(1)),
 		},
 	}
-	_, err := res.Dependencies().Waves()
+	err := res.CheckSpools()
 	if err == nil || !strings.Contains(err.Error(), "cyclic") {
 		t.Fatalf("err = %v, want cyclic spool dependency", err)
 	}
 }
 
-func TestWavesIgnoresUnknownDependency(t *testing.T) {
-	// Spool 1 scans spool 99 which has no plan; the DAG still levelizes and
-	// execution reports the missing plan.
+func TestCheckSpoolsRejectsSubquery(t *testing.T) {
+	sub := &scalar.Expr{Op: scalar.OpSubquery}
+	res := &Result{
+		Root: &Plan{Op: PRoot, Children: []*Plan{spoolScan(2)}},
+		CSEs: map[int]*CSEPlan{
+			1: cseOn(1, &Plan{Op: PScan}),
+			2: cseOn(2, &Plan{Op: PFilter, Filter: sub, Children: []*Plan{spoolScan(1)}}),
+		},
+	}
+	err := res.CheckSpools()
+	if err == nil || !strings.Contains(err.Error(), "CSE 2") || !strings.Contains(err.Error(), "scalar subquery") {
+		t.Fatalf("err = %v, want CSE 2's scalar subquery rejected", err)
+	}
+}
+
+func TestCheckSpoolsIgnoresUnknownDependency(t *testing.T) {
+	// Spool 1 scans spool 99, which has no plan; execution reports the
+	// missing plan when spool 1 is read.
 	res := &Result{
 		Root: &Plan{Op: PRoot, Children: []*Plan{spoolScan(1)}},
 		CSEs: map[int]*CSEPlan{1: cseOn(1, spoolScan(99))},
 	}
-	waves, err := res.Dependencies().Waves()
-	if err != nil {
+	if err := res.CheckSpools(); err != nil {
 		t.Fatal(err)
-	}
-	if len(waves) != 1 || !equalInts(waves[0], []int{1}) {
-		t.Errorf("waves = %v, want [[1]]", waves)
 	}
 }
 
@@ -99,16 +94,4 @@ func TestReferencesSubquery(t *testing.T) {
 			t.Errorf("%s: ReferencesSubquery = %v, want %v", c.name, got, c.want)
 		}
 	}
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
