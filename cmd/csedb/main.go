@@ -143,9 +143,8 @@ func main() {
 
 		serveAddr     = flag.String("serve", "", "serve HTTP/JSON queries on this address instead of running a shell (e.g. 127.0.0.1:8632; \":0\" picks a port)")
 		serveWindow   = flag.Duration("serve-window", 0, "coalescing window for -serve (0 = server default)")
-		serveBatch    = flag.Int("serve-max-batch", 0, "count trigger for -serve: flush the window at this many pending requests (0 = default)")
+		serveBatch    = flag.Int("serve-max-batch", 0, "count trigger for -serve: flush the window at this many pending requests (0 = default, 1 = never coalesce)")
 		serveInflight = flag.Int("serve-max-inflight", 0, "admission bound for -serve: reject beyond this many in-flight requests (0 = default)")
-		serveNoCoal   = flag.Bool("serve-no-coalesce", false, "disable the coalescing window for -serve (every request runs alone)")
 		servePlans    = flag.Int("serve-plan-cache", 0, "plan-shape cache entries for -serve (0 = default, negative disables)")
 	)
 	flag.Parse()
@@ -165,7 +164,6 @@ func main() {
 			Window:           *serveWindow,
 			MaxBatch:         *serveBatch,
 			MaxInflight:      *serveInflight,
-			NoCoalesce:       *serveNoCoal,
 			PlanCacheEntries: *servePlans,
 		})
 	case *file != "":
@@ -196,11 +194,7 @@ func serve(db *csedb.DB, addr string, opts server.Options) {
 	if err != nil {
 		fatal(err)
 	}
-	mode := "coalescing"
-	if opts.NoCoalesce {
-		mode = "no-coalesce"
-	}
-	fmt.Fprintf(os.Stderr, "serving on http://%s (%s; POST /v1/session, POST /v1/query, GET /v1/stats)\n", bound, mode)
+	fmt.Fprintf(os.Stderr, "serving on http://%s (POST /v1/session, POST /v1/query, GET /v1/stats)\n", bound)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -237,9 +237,10 @@ type BatchResult struct {
 	EstimatedCost float64
 
 	// ExecStats carries the executor's detailed instrumentation: per-spool
-	// rows (every CSE is computed exactly once per batch) and wall time,
-	// per-statement time, the topological spool schedule, and worker
-	// utilization.
+	// rows, materialization time, runs (every CSE is computed exactly once
+	// per batch), reads and result-cache hits; per-statement time; the
+	// worker count, morsel and column-plane counters and worker utilization;
+	// and, under EXPLAIN ANALYZE, per-operator actuals.
 	ExecStats *exec.Stats
 
 	// Trace is the optimizer decision trace; nil unless tracing is on.

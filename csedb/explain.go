@@ -66,6 +66,9 @@ func renderAnalyzed(out *core.Output, md *logical.Metadata, stats *exec.Stats, o
 		if p.Op == opt.PSpoolScan {
 			actual += fmt.Sprintf(" hits=%d", stats.SpoolHits[p.SpoolID])
 		}
+		if ns.Wait > 0 {
+			actual += fmt.Sprintf(" wait=%s", ns.Wait.Round(time.Microsecond))
+		}
 		return actual + "]"
 	}))
 

@@ -61,12 +61,13 @@ type Config struct {
 
 	// Server routes the batch through the serving layer instead of direct
 	// execution: statements are dealt round-robin to Sessions concurrent
-	// fake clients against a coalescing server over the shared store, and
-	// the demuxed results are reassembled in original order.
+	// fake clients against a server over the shared store, and the demuxed
+	// results are reassembled in original order.
 	Server bool
-	// NoCoalesce disables the server's coalescing window for this cell
-	// (every request runs alone); only meaningful with Server.
-	NoCoalesce bool
+	// MaxBatch is the server's count trigger for this cell (0 = the
+	// server's default); 1 never coalesces, so every request runs alone.
+	// Only meaningful with Server.
+	MaxBatch int
 	// Sessions is the number of concurrent client sessions (default 1).
 	Sessions int
 }
@@ -101,15 +102,14 @@ func Matrix() []Config {
 		{Name: "cse-cache-observed", Settings: def, Cache: true, Repeat: 2, Observe: true},
 		{Name: "cse-chunk1", Settings: def, ChunkSize: 1},
 		{Name: "cse-chunk7", Settings: def, ChunkSize: 7},
-		{Name: "cse-chunk1024", Settings: def, ChunkSize: 1024},
 		{Name: "cse-noheur", Settings: vary(func(s *core.Settings) { s.Heuristics = false })},
 		{Name: "alpha-0.05", Settings: vary(func(s *core.Settings) { s.Alpha = 0.05 })},
 		{Name: "alpha-0.20", Settings: vary(func(s *core.Settings) { s.Alpha = 0.20 })},
 		{Name: "beta-0.80", Settings: vary(func(s *core.Settings) { s.Beta = 0.80 })},
 		{Name: "beta-0.95", Settings: vary(func(s *core.Settings) { s.Beta = 0.95 })},
 		{Name: "delta-raised", Settings: vary(func(s *core.Settings) { s.MinMergeBenefit = 1e4 })},
-		{Name: "server-coalesce", Settings: def, Server: true, Sessions: 4},
-		{Name: "server-nocoalesce", Settings: def, Server: true, NoCoalesce: true, Sessions: 4},
+		{Name: "server-coalesce", Settings: def, Server: true, MaxBatch: 8, Sessions: 4},
+		{Name: "server-nocoalesce", Settings: def, Server: true, MaxBatch: 1, Sessions: 4},
 	}
 }
 

@@ -37,11 +37,7 @@ func (o *Oracle) runServerConfig(cfg Config, sql string) (string, error) {
 		CacheBudget: -1, // isolate the serving layer: no result cache
 		SpanTracing: true,
 	})
-	srv := server.New(db, server.Options{
-		Window:     2 * time.Millisecond,
-		MaxBatch:   8,
-		NoCoalesce: cfg.NoCoalesce,
-	})
+	srv := server.New(db, server.Options{Window: 2 * time.Millisecond, MaxBatch: cfg.MaxBatch})
 	defer srv.Close()
 
 	sessions := cfg.Sessions

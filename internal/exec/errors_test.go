@@ -18,7 +18,7 @@ func bareContext(cses map[int]*opt.CSEPlan) *Context {
 
 func TestSpoolErrors(t *testing.T) {
 	c := bareContext(map[int]*opt.CSEPlan{})
-	if _, err := c.spool(7); err == nil || !strings.Contains(err.Error(), "no plan for CSE") {
+	if _, err := c.spool(&opt.Plan{Op: opt.PSpoolScan, SpoolID: 7}); err == nil || !strings.Contains(err.Error(), "no plan for CSE") {
 		t.Errorf("missing CSE error = %v", err)
 	}
 }

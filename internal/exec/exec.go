@@ -418,22 +418,23 @@ func (c *Context) execNode(p *opt.Plan) ([]sqltypes.Row, error) {
 	case opt.PSpoolScan:
 		// Every spool scan is one read of the shared work table.
 		c.stats.recordSpoolHit(p.SpoolID)
-		return c.spool(p.SpoolID)
+		return c.spool(p)
 	default:
 		return nil, fmt.Errorf("cannot execute plan op %s", p.Op)
 	}
 }
 
-// spool returns the materialized work table for a candidate CSE. All
+// spool returns the materialized work table read by the spool scan p. All
 // consumers — including other CSE plans — share one result: the first reader
 // materializes it inside the entry's sync.Once and every other reader blocks
 // there until it is done. The time a reader spends blocked is subtracted from
-// the batch's busy time and, when it is long enough to matter, recorded as a
-// spool-wait span naming the CSE.
-func (c *Context) spool(id int) ([]sqltypes.Row, error) {
-	e, ok := c.spools[id]
+// the batch's busy time, reported as the scan's NodeStats.Wait under Analyze
+// and, when it is long enough to matter, recorded as a spool-wait span naming
+// the CSE.
+func (c *Context) spool(p *opt.Plan) ([]sqltypes.Row, error) {
+	e, ok := c.spools[p.SpoolID]
 	if !ok {
-		return nil, fmt.Errorf("no plan for CSE %d", id)
+		return nil, fmt.Errorf("no plan for CSE %d", p.SpoolID)
 	}
 	start := time.Now()
 	ran := false
@@ -447,7 +448,7 @@ func (c *Context) spool(id int) ([]sqltypes.Row, error) {
 		return e.rows, e.err
 	}
 	wait := time.Since(start)
-	c.stats.recordBlocked(wait)
+	c.stats.recordBlocked(p, wait)
 	if wait < 10*time.Microsecond {
 		ws.Discard()
 	} else {

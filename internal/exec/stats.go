@@ -15,6 +15,11 @@ type NodeStats struct {
 	Time  time.Duration
 	Execs int
 
+	// Wait is the time a spool scan spent blocked while another reader
+	// materialized its spool. It is not part of the scan's Time; the Time of
+	// the scan's ancestors, which is wall time, still includes it.
+	Wait time.Duration
+
 	// Par is the maximum intra-operator parallel degree this node achieved
 	// (workers that actually processed its morsels, including the calling
 	// goroutine). 0 when the node never ran a parallel morsel pass.
@@ -180,12 +185,19 @@ func (s *collector) recordStmt(i int, d time.Duration) {
 	s.stmtTimes[i] = d
 }
 
-// recordBlocked notes time a reader spent blocked on a spool that another
-// reader was materializing.
-func (s *collector) recordBlocked(d time.Duration) {
+// recordBlocked notes time the spool scan p spent blocked on a spool that
+// another reader was materializing. Under Analyze it moves that time from
+// the scan's Time, to which recordNode adds the scan's whole wall time once
+// it returns, to its Wait.
+func (s *collector) recordBlocked(p *opt.Plan, d time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.blocked += d
+	if s.nodes != nil {
+		ns := s.node(p)
+		ns.Time -= d
+		ns.Wait += d
+	}
 }
 
 // recordHelper notes time one intra-op helper goroutine spent running
@@ -204,11 +216,7 @@ func (s *collector) recordMorsels(p *opt.Plan, morsels, degree int) {
 	s.morsels += morsels
 	s.parallelOps++
 	if s.nodes != nil {
-		ns, ok := s.nodes[p]
-		if !ok {
-			ns = &NodeStats{}
-			s.nodes[p] = ns
-		}
+		ns := s.node(p)
 		if degree > ns.Par {
 			ns.Par = degree
 		}
@@ -219,14 +227,21 @@ func (s *collector) recordMorsels(p *opt.Plan, morsels, degree int) {
 func (s *collector) recordNode(p *opt.Plan, rows int, d time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	ns := s.node(p)
+	ns.Rows += rows
+	ns.Time += d
+	ns.Execs++
+}
+
+// node returns p's actuals, creating them on first use. s.mu must be held
+// and Analyze on.
+func (s *collector) node(p *opt.Plan) *NodeStats {
 	ns, ok := s.nodes[p]
 	if !ok {
 		ns = &NodeStats{}
 		s.nodes[p] = ns
 	}
-	ns.Rows += rows
-	ns.Time += d
-	ns.Execs++
+	return ns
 }
 
 // snapshot freezes the collector into a plain Stats value. Spools are

@@ -3,8 +3,6 @@ package opt
 import (
 	"fmt"
 	"sort"
-
-	"repro/internal/scalar"
 )
 
 // StatementPlans flattens the batch root into per-statement plans.
@@ -71,36 +69,21 @@ func (p *Plan) ReferencesSubquery() bool {
 	if p == nil {
 		return false
 	}
-	if exprHasSubquery(p.Filter) || exprHasSubquery(p.InnerFilter) {
+	if p.Filter.HasSubquery() || p.InnerFilter.HasSubquery() {
 		return true
 	}
 	for _, pr := range p.Projections {
-		if exprHasSubquery(pr.Expr) {
+		if pr.Expr.HasSubquery() {
 			return true
 		}
 	}
 	for _, a := range p.Aggs {
-		if exprHasSubquery(a.Arg) {
+		if a.Arg.HasSubquery() {
 			return true
 		}
 	}
 	for _, c := range p.Children {
 		if c.ReferencesSubquery() {
-			return true
-		}
-	}
-	return false
-}
-
-func exprHasSubquery(e *scalar.Expr) bool {
-	if e == nil {
-		return false
-	}
-	if e.Op == scalar.OpSubquery {
-		return true
-	}
-	for _, a := range e.Args {
-		if exprHasSubquery(a) {
 			return true
 		}
 	}

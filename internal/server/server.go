@@ -3,7 +3,7 @@
 // sessions into one CSE-optimized batch on the underlying csedb.DB — the
 // paper's §6 batch application recreated from live traffic. Results (and
 // errors) are demultiplexed per statement back to the submitting clients; a
-// plan-shape cache lets repeat batch shapes skip parse/bind/optimize.
+// plan-shape cache lets repeat batch shapes skip bind and optimize.
 //
 // Context discipline (load-bearing): a coalesced batch always executes under
 // the server's base context, never any individual client's. A client
@@ -37,17 +37,14 @@ type Options struct {
 	Window time.Duration
 
 	// MaxBatch is the count trigger: a window flushes early the moment this
-	// many requests are pending. 0 means DefaultMaxBatch.
+	// many requests are pending. 0 means DefaultMaxBatch; 1 is a server that
+	// never coalesces, where every request runs alone under its own context.
 	MaxBatch int
 
 	// MaxInflight bounds admission: requests beyond this many concurrently
 	// in flight (queued or executing) are rejected with ErrOverloaded.
 	// 0 means DefaultMaxInflight.
 	MaxInflight int
-
-	// NoCoalesce disables the window: every request executes alone,
-	// immediately, on the caller's goroutine. The plan cache still applies.
-	NoCoalesce bool
 
 	// PlanCacheEntries sizes the plan-shape cache; 0 means
 	// DefaultPlanCacheEntries, negative disables the cache.
@@ -93,7 +90,7 @@ type Result struct {
 	// Sessions is the number of distinct sessions in the executed batch.
 	Sessions int
 
-	// PlanCached reports whether the batch skipped parse/optimize via the
+	// PlanCached reports whether the batch skipped bind and optimize via the
 	// plan-shape cache.
 	PlanCached bool
 
@@ -109,10 +106,10 @@ type response struct {
 	err error
 }
 
-// request is one in-flight client query.
+// request is one in-flight client query, parsed at admission.
 type request struct {
 	sess  *Session
-	sql   string
+	stmts []parser.Statement
 	shape string
 	ctx   context.Context
 	enq   time.Time
@@ -120,16 +117,6 @@ type request struct {
 	// that gave up: a canceled client's response lands in the buffer and is
 	// garbage collected with the request.
 	done chan response
-}
-
-// planEntry is one plan-shape cache value: the prepared batch for a
-// normalized batch key, so a repeat shape skips parse, bind and optimize,
-// plus the per-request statement counts that demultiplex its results. The
-// cache is a cache.LRU costed one per entry and validated, like the spool
-// result cache, against the batch's table versions.
-type planEntry struct {
-	prepared *csedb.Prepared
-	counts   []int
 }
 
 // Server coalesces queries from many sessions into CSE-optimized batches on
@@ -140,25 +127,31 @@ type Server struct {
 	db      *csedb.DB
 	opts    Options
 	metrics *obs.Registry
-	plans   *cache.LRU[planEntry] // nil when the plan cache is off
+	// plans maps a batch key to its prepared batch, so a repeat shape skips
+	// bind and optimize. It is a cache.LRU costed one per entry and
+	// validated, like the spool result cache, against the batch's table
+	// versions; nil when the plan cache is off.
+	plans *cache.LRU[*csedb.Prepared]
 
 	baseCtx context.Context
 	cancel  context.CancelFunc
+
+	// afterFunc arms a window's time trigger: time.AfterFunc, replaced in
+	// tests to fire a timer by hand.
+	afterFunc func(time.Duration, func()) *time.Timer
 
 	mu       sync.Mutex
 	closed   bool
 	sessions map[string]*Session
 	sessSeq  int
-	pending  []*request
+	pending  []*request // the open window
+	window   uint64     // generation of the open window; every flush opens the next
 	inflight int
-	deadline time.Time // flush deadline for the open window; valid when pending is non-empty
 
-	kick      chan struct{}
-	flusherWG sync.WaitGroup
-	execWG    sync.WaitGroup
+	execWG sync.WaitGroup
 }
 
-// New starts a server over db. Close it to drain and release the flusher.
+// New returns a server over db. Close it to drain in-flight batches.
 func New(db *csedb.DB, opts Options) *Server {
 	if opts.Window <= 0 {
 		opts.Window = DefaultWindow
@@ -172,26 +165,21 @@ func New(db *csedb.DB, opts Options) *Server {
 	if opts.PlanCacheEntries == 0 {
 		opts.PlanCacheEntries = DefaultPlanCacheEntries
 	}
-	var plans *cache.LRU[planEntry]
+	var plans *cache.LRU[*csedb.Prepared]
 	if opts.PlanCacheEntries > 0 {
-		plans = cache.NewLRU[planEntry](int64(opts.PlanCacheEntries), "plancache", "entries", db.Metrics())
+		plans = cache.NewLRU[*csedb.Prepared](int64(opts.PlanCacheEntries), "plancache", "entries", db.Metrics())
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	s := &Server{
-		db:       db,
-		opts:     opts,
-		metrics:  db.Metrics(),
-		plans:    plans,
-		baseCtx:  ctx,
-		cancel:   cancel,
-		sessions: make(map[string]*Session),
-		kick:     make(chan struct{}, 1),
+	return &Server{
+		db:        db,
+		opts:      opts,
+		metrics:   db.Metrics(),
+		plans:     plans,
+		baseCtx:   ctx,
+		cancel:    cancel,
+		afterFunc: time.AfterFunc,
+		sessions:  make(map[string]*Session),
 	}
-	if !opts.NoCoalesce {
-		s.flusherWG.Add(1)
-		go s.flusher()
-	}
-	return s
 }
 
 // DB exposes the underlying database (metrics, flight recorder).
@@ -260,6 +248,9 @@ func (sess *Session) isClosed() bool {
 // Query submits one request — a SELECT statement or a semicolon-separated
 // SELECT batch — and blocks until its results are ready or ctx is done.
 //
+// The request is parsed here, on the caller's goroutine: SQL the parser
+// rejects fails its request before it joins a window.
+//
 // Cancellation: if ctx ends while the request is queued or executing, Query
 // returns ctx's error immediately, but the request itself stays in its
 // coalesced batch — execution is governed by the server's lifecycle, not
@@ -274,15 +265,18 @@ func (sess *Session) Query(ctx context.Context, sql string) (*Result, error) {
 	}
 
 	shape, err := parser.Shape(sql)
+	var stmts []parser.Statement
+	if err == nil {
+		stmts, err = parser.Parse(sql)
+	}
 	if err != nil {
-		// Counted like a parse failure in dispatch.
 		s.metrics.Counter("server_requests_total").Inc()
 		s.metrics.Counter("server_requests_failed_total").Inc()
 		return nil, err
 	}
 	r := &request{
 		sess:  sess,
-		sql:   sql,
+		stmts: stmts,
 		shape: shape,
 		ctx:   ctx,
 		enq:   time.Now(),
@@ -301,27 +295,15 @@ func (sess *Session) Query(ctx context.Context, sql string) (*Result, error) {
 	}
 	s.inflight++
 	s.metrics.Counter("server_requests_total").Inc()
-	if s.opts.NoCoalesce {
-		// Direct path: execute on the caller's goroutine, registered with
-		// execWG (under s.mu, closed just checked) so Close still drains us.
-		s.execWG.Add(1)
-		s.mu.Unlock()
-		func() {
-			defer s.execWG.Done()
-			s.dispatch([]*request{r})
-		}()
-	} else {
-		s.pending = append(s.pending, r)
-		first := len(s.pending) == 1
-		if first {
-			s.deadline = r.enq.Add(s.opts.Window)
-		}
-		full := len(s.pending) >= s.opts.MaxBatch
-		s.mu.Unlock()
-		if full || first {
-			s.kickFlusher()
-		}
+	s.pending = append(s.pending, r)
+	switch {
+	case len(s.pending) >= s.opts.MaxBatch:
+		s.flushLocked()
+	case len(s.pending) == 1:
+		window := s.window
+		s.afterFunc(s.opts.Window, func() { s.flushWindow(window) })
 	}
+	s.mu.Unlock()
 
 	// No inflight decrement here: the slot is released by finish when the
 	// request's batch delivers its response. Returning early on ctx.Done
@@ -342,9 +324,9 @@ func (sess *Session) Query(ctx context.Context, sql string) (*Result, error) {
 }
 
 // finish delivers a request's terminal response and releases its admission
-// slot. Every request passes through here exactly once — on demux, on a
-// per-request parse error, or on a batch failure — so inflight tracks true
-// occupancy (window + execution), not just clients still waiting.
+// slot. Every request passes through here exactly once — on demux or on a
+// batch failure — so inflight tracks true occupancy (window + execution),
+// not just clients still waiting.
 func (s *Server) finish(r *request, resp response) {
 	r.done <- resp
 	s.mu.Lock()
@@ -352,70 +334,37 @@ func (s *Server) finish(r *request, resp response) {
 	s.mu.Unlock()
 }
 
-func (s *Server) kickFlusher() {
-	select {
-	case s.kick <- struct{}{}:
-	default:
+// flushWindow is a window's time trigger. A count trigger or Close may have
+// flushed that window already; then its generation is stale and the timer
+// does nothing, so it never cuts short the window open now.
+func (s *Server) flushWindow(window uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if window == s.window {
+		s.flushLocked()
 	}
 }
 
-// flusher is the single goroutine that owns the coalescing window: it wakes
-// on enqueue kicks and on the window timer, flushes batches when the count
-// or time trigger fires, and re-windows any overflow remainder.
-func (s *Server) flusher() {
-	defer s.flusherWG.Done()
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
+// flushLocked hands the open window's requests, if any, to one batch
+// goroutine and opens the next window. The caller holds s.mu, so the batch
+// is registered with execWG before Close can wait on it.
+func (s *Server) flushLocked() {
+	if len(s.pending) == 0 {
+		return
 	}
-	for {
-		select {
-		case <-s.kick:
-		case <-timer.C:
-		}
-
-		s.mu.Lock()
-		now := time.Now()
-		for len(s.pending) > 0 && (s.closed || len(s.pending) >= s.opts.MaxBatch || !now.Before(s.deadline)) {
-			n := len(s.pending)
-			if n > s.opts.MaxBatch {
-				n = s.opts.MaxBatch
-			}
-			batch := s.pending[:n:n]
-			s.pending = append([]*request(nil), s.pending[n:]...)
-			if len(s.pending) > 0 {
-				// Overflow remainder opens a fresh window.
-				s.deadline = now.Add(s.opts.Window)
-			}
-			s.execWG.Add(1)
-			go func(b []*request) {
-				defer s.execWG.Done()
-				s.dispatch(b)
-			}(batch)
-		}
-		rearm := len(s.pending) > 0
-		deadline := s.deadline
-		closed := s.closed
-		s.mu.Unlock()
-
-		if closed && !rearm {
-			return
-		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		if rearm {
-			timer.Reset(time.Until(deadline))
-		}
-	}
+	batch := s.pending
+	s.pending = nil
+	s.window++
+	s.execWG.Add(1)
+	go func() {
+		defer s.execWG.Done()
+		s.dispatch(batch)
+	}()
 }
 
-// Close drains the server: no new sessions or requests are admitted,
-// pending windows flush immediately, in-flight batches run to completion,
-// and only then is the base context canceled.
+// Close drains the server: no new sessions or requests are admitted, the
+// open window flushes immediately, in-flight batches run to completion, and
+// only then is the base context canceled.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -423,12 +372,9 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
+	s.flushLocked()
 	s.mu.Unlock()
 
-	s.kickFlusher()
-	if !s.opts.NoCoalesce {
-		s.flusherWG.Wait()
-	}
 	s.execWG.Wait()
 	s.cancel()
 	return nil
@@ -436,7 +382,9 @@ func (s *Server) Close() error {
 
 // dispatch executes one formed batch and demultiplexes results to its
 // requests. Requests are shape-sorted so equal shapes are adjacent (stable
-// plan-cache keys) and the combined key is order-insensitive.
+// plan-cache keys) and the combined key is order-insensitive. Equal shapes
+// lex, and so parse, alike: a cached plan holds exactly the statements of
+// the requests that hit it, in the same order.
 func (s *Server) dispatch(reqs []*request) {
 	start := time.Now()
 	sort.SliceStable(reqs, func(i, j int) bool { return reqs[i].shape < reqs[j].shape })
@@ -447,41 +395,15 @@ func (s *Server) dispatch(reqs []*request) {
 	}
 	key := batchKey(shapes)
 
-	var plan planEntry
+	var p *csedb.Prepared
 	cached := false
 	if s.plans != nil {
-		plan, cached = s.plans.Get(key, s.db.Store().Versions)
+		p, cached = s.plans.Get(key, s.db.Store().Versions)
 	}
-	p, counts := plan.prepared, plan.counts
 	if !cached {
-		// Parse per request so a syntax error fails only its submitter; the
-		// rest of the batch proceeds without it.
 		var all []parser.Statement
-		counts = counts[:0]
-		ok := reqs[:0]
 		for _, r := range reqs {
-			stmts, err := parser.Parse(r.sql)
-			if err != nil {
-				s.finish(r, response{err: err})
-				continue
-			}
-			all = append(all, stmts...)
-			counts = append(counts, len(stmts))
-			ok = append(ok, r)
-		}
-		reqs = ok
-		if len(reqs) == 0 {
-			return
-		}
-		if len(reqs) != len(shapes) {
-			// Some requests were dropped: re-key over the survivors, or a
-			// future batch matching the original key would demux against the
-			// wrong request list.
-			shapes = shapes[:0]
-			for _, r := range reqs {
-				shapes = append(shapes, r.shape)
-			}
-			key = batchKey(shapes)
+			all = append(all, r.stmts...)
 		}
 		var err error
 		p, err = s.db.PrepareStatements(all)
@@ -531,7 +453,7 @@ func (s *Server) dispatch(reqs []*request) {
 		// never enters the cache. The version snapshot was taken before the
 		// optimizer read any statistics, so a plan a write raced is stale
 		// on its first lookup.
-		s.plans.Put(key, planEntry{p, counts}, 1, p.Versions())
+		s.plans.Put(key, p, 1, p.Versions())
 	}
 
 	s.metrics.Counter("server_batches_total").Inc()
@@ -542,8 +464,8 @@ func (s *Server) dispatch(reqs []*request) {
 	}
 
 	off := 0
-	for i, r := range reqs {
-		n := counts[i]
+	for _, r := range reqs {
+		n := len(r.stmts)
 		res := &Result{
 			Statements: br.Statements[off : off+n],
 			Coalesced:  len(reqs),

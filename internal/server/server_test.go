@@ -144,16 +144,60 @@ func TestCoalescedBatch(t *testing.T) {
 	}
 }
 
-// TestEmptyWindowFlush pins that a spurious flusher wakeup with nothing
-// pending is harmless and the server still serves afterwards.
-func TestEmptyWindowFlush(t *testing.T) {
-	s, _ := newTestServer(t, Options{Window: time.Millisecond})
-	s.kickFlusher()
-	s.kickFlusher()
-	time.Sleep(5 * time.Millisecond)
+// TestStaleTimerDoesNotFlushNextWindow pins the window generation: a window
+// its count trigger flushed leaves its timer behind, and that timer must not
+// flush the next window early. Timers are fired by hand through the
+// afterFunc seam, so nothing sleeps.
+func TestStaleTimerDoesNotFlushNextWindow(t *testing.T) {
+	s, _ := newTestServer(t, Options{Window: time.Hour, MaxBatch: 2})
+	timers := make(chan func(), 4)
+	s.afterFunc = func(_ time.Duration, f func()) *time.Timer {
+		timers <- f
+		return nil
+	}
+	pending := func() int {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return len(s.pending)
+	}
 	sess := mustSession(t, s)
-	if _, err := sess.Query(context.Background(), q1); err != nil {
-		t.Fatal(err)
+
+	// The first request arms the window's timer; the second trips the
+	// count trigger, so that timer is stale from here on.
+	var wg sync.WaitGroup
+	for _, q := range []string{q1, q2} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if res, err := sess.Query(context.Background(), q); err != nil {
+				t.Error(err)
+			} else if res.Coalesced != 2 {
+				t.Errorf("Coalesced = %d, want 2 (count trigger)", res.Coalesced)
+			}
+		}()
+	}
+	wg.Wait()
+	stale := <-timers
+
+	third := make(chan *Result, 1)
+	go func() {
+		res, err := sess.Query(context.Background(), q1)
+		if err != nil {
+			t.Error(err)
+		}
+		third <- res
+	}()
+	current := <-timers
+	if n := pending(); n != 1 {
+		t.Fatalf("pending = %d after the third request armed its window, want 1", n)
+	}
+	stale()
+	if n := pending(); n != 1 {
+		t.Fatalf("pending = %d after the stale timer fired, want 1: it flushed the next window", n)
+	}
+	current()
+	if res := <-third; res == nil || res.Coalesced != 1 {
+		t.Errorf("third request result = %+v, want a batch of 1 flushed by its own timer", res)
 	}
 }
 
@@ -348,24 +392,40 @@ func TestParseErrorIsolation(t *testing.T) {
 	}
 }
 
-// TestLexErrorFailsRequest: SQL the lexer rejects fails its request with
-// the lexer's error, counted as a request and as a failed one.
+// TestLexErrorFailsRequest: SQL the lexer or the parser rejects fails its
+// request with their error on the client's goroutine, before it joins or
+// opens a window, counted as a request and as a failed one.
 func TestLexErrorFailsRequest(t *testing.T) {
-	s, _ := newTestServer(t, Options{})
-	_, err := mustSession(t, s).Query(context.Background(), "select 'open from lineitem")
-	if err == nil || !strings.Contains(err.Error(), "unterminated string literal") {
-		t.Fatalf("err = %v, want the lexer's unterminated-literal error", err)
+	s, _ := newTestServer(t, Options{Window: time.Hour})
+	s.afterFunc = func(time.Duration, func()) *time.Timer {
+		t.Error("a rejected request opened a window")
+		return nil
 	}
-	stats := s.Stats()
-	if stats["server_requests_total"] != 1 || stats["server_requests_failed_total"] != 1 {
-		t.Errorf("requests_total = %v, requests_failed_total = %v, want 1 and 1",
-			stats["server_requests_total"], stats["server_requests_failed_total"])
+	sess := mustSession(t, s)
+	for i, c := range []struct{ sql, want string }{
+		{"select 'open from lineitem", "unterminated string literal"},
+		{"selectx nonsense from", "syntax error"},
+	} {
+		_, err := sess.Query(context.Background(), c.sql)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%q: err = %v, want %q", c.sql, err, c.want)
+		}
+		stats := s.Stats()
+		if n := float64(i + 1); stats["server_requests_total"] != n || stats["server_requests_failed_total"] != n {
+			t.Errorf("%q: requests_total = %v, requests_failed_total = %v, want %v and %v", c.sql,
+				stats["server_requests_total"], stats["server_requests_failed_total"], n, n)
+		}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.pending) != 0 || s.inflight != 0 {
+		t.Errorf("pending = %d, inflight = %d after rejected requests, want 0 and 0", len(s.pending), s.inflight)
 	}
 }
 
 // TestPlanCache pins hit, shape normalization, and version invalidation.
 func TestPlanCache(t *testing.T) {
-	s, db := newTestServer(t, Options{NoCoalesce: true})
+	s, db := newTestServer(t, Options{MaxBatch: 1})
 	sess := mustSession(t, s)
 	ctx := context.Background()
 
@@ -391,7 +451,7 @@ func TestPlanCache(t *testing.T) {
 		t.Error("plancache_hits_total = 0")
 	}
 	if r1.Coalesced != 1 || r2.Coalesced != 1 || db.Metrics().Counter("server_coalesced_batches_total").Value() != 0 {
-		t.Error("a server without a coalescing window formed a multi-request batch")
+		t.Error("a MaxBatch 1 server formed a multi-request batch")
 	}
 
 	// A version bump on any referenced table invalidates the entry.
@@ -417,7 +477,7 @@ func TestPlanCache(t *testing.T) {
 
 // TestSessionClosed pins the typed error for a query on a closed session.
 func TestSessionClosed(t *testing.T) {
-	s, _ := newTestServer(t, Options{NoCoalesce: true})
+	s, _ := newTestServer(t, Options{MaxBatch: 1})
 	sess := mustSession(t, s)
 	sess.Close()
 	if _, err := sess.Query(context.Background(), q1); !errors.Is(err, ErrSessionClosed) {
@@ -587,9 +647,10 @@ func TestCanceledRequestHoldsAdmissionSlot(t *testing.T) {
 // evicted instead of serving the shape forever (hit → fail → retry on every
 // future batch). A singleton batch runs under its client's context, so a
 // pre-canceled context is a deterministic execution failure after a
-// successful prepare.
+// successful prepare. Query returns on the canceled context at once, so the
+// test waits for the batch to deliver before reading the cache.
 func TestPlanCacheAdmitAfterExecution(t *testing.T) {
-	s, _ := newTestServer(t, Options{NoCoalesce: true})
+	s, _ := newTestServer(t, Options{MaxBatch: 1})
 	sess := mustSession(t, s)
 
 	if _, err := sess.Query(context.Background(), q1); err != nil {
@@ -606,6 +667,7 @@ func TestPlanCacheAdmitAfterExecution(t *testing.T) {
 	if _, err := sess.Query(canceled, q2); err == nil {
 		t.Fatal("query under a canceled context succeeded")
 	}
+	s.execWG.Wait()
 	if got := s.plans.Len(); got != 1 {
 		t.Errorf("plan cache entries = %d after a new shape failed execution, want 1", got)
 	}
@@ -614,6 +676,7 @@ func TestPlanCacheAdmitAfterExecution(t *testing.T) {
 	if _, err := sess.Query(canceled, q1); err == nil {
 		t.Fatal("query under a canceled context succeeded")
 	}
+	s.execWG.Wait()
 	if got := s.plans.Len(); got != 0 {
 		t.Errorf("plan cache entries = %d after the cached plan failed execution, want 0", got)
 	}
@@ -636,7 +699,7 @@ func TestPlanCacheSameShapeConcurrent(t *testing.T) {
 	if err := db.LoadTPCH(0.001, 1); err != nil {
 		t.Fatal(err)
 	}
-	s := New(db, Options{NoCoalesce: true})
+	s := New(db, Options{MaxBatch: 1})
 	t.Cleanup(func() { s.Close() })
 
 	var wg sync.WaitGroup
@@ -665,7 +728,7 @@ func TestPlanCacheSameShapeConcurrent(t *testing.T) {
 // room for one shape, q2 evicts q1, so q1's second run re-plans and its
 // admission evicts q2 in turn.
 func TestPlanCacheCapacity(t *testing.T) {
-	s, db := newTestServer(t, Options{NoCoalesce: true, PlanCacheEntries: 1})
+	s, db := newTestServer(t, Options{MaxBatch: 1, PlanCacheEntries: 1})
 	sess := mustSession(t, s)
 	m := db.Metrics()
 	for i, q := range []string{q1, q2, q1} {
