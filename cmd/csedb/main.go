@@ -37,13 +37,17 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"io"
+	"net"
+	"net/http"
 	"os"
 	"os/signal"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -100,21 +104,6 @@ func (k *knobs) options() csedb.Options {
 	return opts
 }
 
-// startDebug starts db's debug server when the debug knob names an address,
-// and records the address it bound so a reopened database binds the same.
-func (k *knobs) startDebug(db *csedb.DB) error {
-	if k.debug == "" {
-		return nil
-	}
-	bound, err := db.StartDebugServer(k.debug)
-	if err != nil {
-		return err
-	}
-	k.debug = bound
-	fmt.Fprintf(os.Stderr, "debug server listening on http://%s — try /metrics, /flightrecorder, /trace/last\n", bound)
-	return nil
-}
-
 // searchFlag is a subset-search strategy flag that accepts only the known
 // strategies.
 type searchFlag core.SearchStrategy
@@ -150,7 +139,9 @@ func main() {
 	flag.Parse()
 
 	db := csedb.Open(k.options())
-	if err := k.startDebug(db); err != nil {
+	sh := &shell{knobs: k, maxRows: *maxRows, out: os.Stdout, errOut: os.Stderr}
+	sh.db.Store(db)
+	if err := sh.listenDebug(); err != nil {
 		fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "loading TPC-H data (sf=%g, seed=%d)...\n", *sf, *seed)
@@ -175,7 +166,7 @@ func main() {
 	case *execSQL != "":
 		runBatch(db, *execSQL, *explain, *maxRows)
 	default:
-		repl(&shell{db: db, knobs: k, maxRows: *maxRows, out: os.Stdout, errOut: os.Stderr})
+		repl(sh)
 	}
 }
 
@@ -184,23 +175,39 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
+// listen binds addr (":0" picks a free port) and serves h on it in the
+// background. It returns the server, to stop it with, and the bound
+// address. Both -serve and -debug listen through it.
+func listen(addr string, h http.Handler) (*http.Server, string, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, "", err
+	}
+	srv := &http.Server{Handler: h, ReadHeaderTimeout: 5 * time.Second}
+	go srv.Serve(ln) //nolint:errcheck // Serve returns ErrServerClosed once stopped
+	return srv, ln.Addr().String(), nil
+}
+
 // serve runs the HTTP/JSON serving layer until SIGINT/SIGTERM, then drains:
-// the listener stops, in-flight coalescing windows flush and complete, and
-// only then does the process exit.
+// the listener stops and in-flight requests get a 5 s grace, then the open
+// coalescing window flushes and its batches complete, and only then does
+// the process exit.
 func serve(db *csedb.DB, addr string, opts server.Options) {
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	srv := server.New(db, opts)
-	h := server.NewHTTPServer(srv)
-	bound, err := h.Start(addr)
+	hs, bound, err := listen(addr, srv.Handler())
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "serving on http://%s (POST /v1/session, POST /v1/query, GET /v1/stats)\n", bound)
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	fmt.Fprintln(os.Stderr, "shutting down: draining in-flight batches...")
-	if err := h.Close(); err != nil {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	hs.Shutdown(ctx) //nolint:errcheck // past the grace, Close still drains the window
+	if err := srv.Close(); err != nil {
 		fatal(err)
 	}
 }
@@ -252,13 +259,42 @@ func printResult(res *csedb.BatchResult, maxRows int) {
 }
 
 // shell is an interactive session: the database it runs batches on, the
-// knobs that database was opened with, and how the next batch runs.
+// knobs that database was opened with, the debug listener, and how the next
+// batch runs. The debug listener serves whichever database the shell is on.
 type shell struct {
-	db          *csedb.DB
+	// db is the current database: \set swaps it, and the debug listener's
+	// goroutines read it.
+	db          atomic.Pointer[csedb.DB]
 	knobs       *knobs
+	debug       *http.Server // nil when the debug knob is ""
 	maxRows     int
 	next        string // "", "explain", "analyze" or "describe"
 	out, errOut io.Writer
+}
+
+// ServeHTTP serves a debug request from the shell's current database.
+func (sh *shell) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	sh.db.Load().DebugHandler().ServeHTTP(w, r)
+}
+
+// listenDebug moves the debug listener to the debug knob's address and
+// records the address it bound there, or closes the listener when the knob
+// is "". It binds before it closes, so a failed bind changes nothing.
+func (sh *shell) listenDebug() error {
+	var next *http.Server
+	if sh.knobs.debug != "" {
+		srv, bound, err := listen(sh.knobs.debug, sh)
+		if err != nil {
+			return err
+		}
+		next, sh.knobs.debug = srv, bound
+		fmt.Fprintf(sh.errOut, "debug server listening on http://%s — try /metrics, /flightrecorder, /trace/last\n", bound)
+	}
+	if sh.debug != nil {
+		sh.debug.Close() //nolint:errcheck // closing a listener
+	}
+	sh.debug = next
+	return nil
 }
 
 func repl(sh *shell) {
@@ -305,27 +341,28 @@ func (sh *shell) run(sql string) {
 	}()
 	mode := sh.next
 	sh.next = ""
+	db := sh.db.Load()
 	var err error
 	switch mode {
 	case "analyze":
 		var text string
-		if text, err = sh.db.ExplainAnalyze(sql); err == nil {
+		if text, err = db.ExplainAnalyze(sql); err == nil {
 			fmt.Fprint(sh.out, text)
 		}
 	case "explain":
 		var plan string
-		if plan, err = sh.db.Explain(sql); err == nil {
+		if plan, err = db.Explain(sql); err == nil {
 			fmt.Fprintln(sh.out, plan)
 		}
 	case "describe":
 		var out *core.Output
-		if out, _, err = sh.db.Optimize(sql); err == nil {
+		if out, _, err = db.Optimize(sql); err == nil {
 			// The memo is reachable through the optimizer.
 			fmt.Fprintln(sh.out, out.Describe(out.Optimizer.M))
 		}
 	default:
 		var res *csedb.BatchResult
-		if res, err = sh.db.Run(sql); err == nil {
+		if res, err = db.Run(sql); err == nil {
 			printResult(res, sh.maxRows)
 		}
 	}
@@ -339,9 +376,10 @@ func (sh *shell) run(sql string) {
 func (sh *shell) handleMeta(cmd string) (*csedb.DB, bool) {
 	fields := strings.Fields(cmd)
 	cmd = strings.Join(fields, " ")
+	db := sh.db.Load()
 	switch {
 	case fields[0] == "\\q" || fields[0] == "\\quit":
-		return sh.db, true
+		return db, true
 	case cmd == "\\explain analyze":
 		sh.next = "analyze"
 		fmt.Fprintln(sh.out, "next batch will be executed and shown with per-operator actuals")
@@ -361,30 +399,31 @@ func (sh *shell) handleMeta(cmd string) (*csedb.DB, bool) {
 		fmt.Fprintf(sh.out, "%s set to %q on a new database over the same data (metrics, flight recorder and result cache start fresh)\n",
 			fields[1], sh.knobs.fs.Lookup(fields[1]).Value.String())
 	case cmd == "\\metrics":
-		fmt.Fprint(sh.out, sh.db.Metrics().Dump())
+		fmt.Fprint(sh.out, db.Metrics().Dump())
 	case cmd == "\\cache":
-		if rc := sh.db.ResultCache(); rc != nil {
+		if rc := db.ResultCache(); rc != nil {
 			fmt.Fprintf(sh.out, "result cache: %s\n", rc.Stats())
 		} else {
 			fmt.Fprintln(sh.out, "result cache off")
 		}
 	case cmd == "\\cache clear":
-		if rc := sh.db.ResultCache(); rc != nil {
+		if rc := db.ResultCache(); rc != nil {
 			rc.Clear()
 		}
 		fmt.Fprintln(sh.out, "result cache cleared")
 	case cmd == "\\tables":
-		for _, name := range sh.db.Catalog().Names() {
+		for _, name := range db.Catalog().Names() {
 			fmt.Fprintln(sh.out, name)
 		}
 	default:
 		fmt.Fprintf(sh.errOut, "unknown meta-command %q (\\explain [analyze], \\describe, \\set [name value], \\metrics, \\cache [clear], \\tables, \\q)\n", cmd)
 	}
-	return sh.db, false
+	return sh.db.Load(), false
 }
 
 // set changes one knob through its flag's Set and reopens the database over
-// the same catalog and store, moving the debug server across. An unknown
+// the same catalog and store; the debug listener serves the new database
+// from then on. Only a changed debug address moves the listener. An unknown
 // name, an invalid value or a debug address that cannot be bound leaves the
 // shell on its current database.
 func (sh *shell) set(name, value string) error {
@@ -399,17 +438,13 @@ func (sh *shell) set(name, value string) error {
 	if err := f.Value.Set(value); err != nil {
 		return fmt.Errorf("%s: %v", name, err)
 	}
-	old := sh.db
-	db := csedb.OpenOn(old.Catalog(), old.Store(), sh.knobs.options())
-	oldAddr := old.DebugAddr()
-	old.StopDebugServer() //nolint:errcheck // closing a listener
-	if err := sh.knobs.startDebug(db); err != nil {
-		f.Value.Set(prev) //nolint:errcheck // prev was accepted before
-		if oldAddr != "" {
-			old.StartDebugServer(oldAddr) //nolint:errcheck // best effort: the address was just freed
+	if name == "debug" && value != prev {
+		if err := sh.listenDebug(); err != nil {
+			f.Value.Set(prev) //nolint:errcheck // prev was accepted before
+			return err
 		}
-		return err
 	}
-	sh.db = db
+	old := sh.db.Load()
+	sh.db.Store(csedb.OpenOn(old.Catalog(), old.Store(), sh.knobs.options()))
 	return nil
 }

@@ -3,6 +3,8 @@ package csedb_test
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/difftest"
 )
 
 // TestCTEBasicInlining: a WITH-defined SPJ expression referenced once.
@@ -28,14 +30,8 @@ group by c_nationkey`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := canonical(res.Statements[0].Rows), canonical(ref.Statements[0].Rows)
-	if len(a) != len(b) {
-		t.Fatalf("CTE result has %d rows, expansion %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Errorf("row %d: %q vs %q", i, a[i], b[i])
-		}
+	if d := difftest.Diff(rowsText(ref.Statements[0].Rows), rowsText(res.Statements[0].Rows)); d != "" {
+		t.Errorf("CTE result differs from the expansion (baseline) at %s", d)
 	}
 }
 
@@ -166,14 +162,8 @@ group by c_nationkey`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := canonical(res.Statements[0].Rows), canonical(ref.Statements[0].Rows)
-	if len(a) != len(b) {
-		t.Fatalf("nested CTE rows %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Errorf("row %d differs: %q vs %q", i, a[i], b[i])
-		}
+	if d := difftest.Diff(rowsText(ref.Statements[0].Rows), rowsText(res.Statements[0].Rows)); d != "" {
+		t.Errorf("nested CTE result differs from the expansion (baseline) at %s", d)
 	}
 }
 

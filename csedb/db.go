@@ -19,7 +19,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/cache"
@@ -92,7 +91,8 @@ type Options struct {
 // metadata, memo, optimizer, and execution context, and the row store takes
 // a read lock. DDL (CreateTable, CREATE MATERIALIZED VIEW) and mutations
 // (Insert, InsertWithViewMaintenance) must be serialized by the caller and
-// must not overlap reads.
+// must not overlap reads. The DB opens no socket: DebugHandler is its HTTP
+// surface, for the embedder to serve.
 type DB struct {
 	cat      *catalog.Catalog
 	store    *storage.Store
@@ -102,9 +102,6 @@ type DB struct {
 	metrics  *obs.Registry
 	cache    *cache.Cache
 	flight   *obs.FlightRecorder
-
-	debugMu sync.Mutex
-	debug   *debugServer
 }
 
 // Row re-exports the value tuple type for insertion APIs.
@@ -196,9 +193,16 @@ func (db *DB) CreateTable(name string, cols []catalog.Column) error {
 	return nil
 }
 
-// Insert appends rows to a table and refreshes its statistics. It does not
-// maintain materialized views; use InsertWithViewMaintenance for that.
+// Insert appends rows to a table, refreshes its statistics and maintains
+// every materialized view that reads the table; InsertWithViewMaintenance
+// does the same and reports the maintenance run.
 func (db *DB) Insert(table string, rows []Row) error {
+	_, err := db.InsertWithViewMaintenance(table, rows)
+	return err
+}
+
+// appendRows appends rows to a table and refreshes its statistics.
+func (db *DB) appendRows(table string, rows []Row) error {
 	ctab, err := db.cat.Table(table)
 	if err != nil {
 		return err
@@ -362,9 +366,10 @@ type MaintenanceResult struct {
 // materialized view referencing it: the inserted rows become a delta table,
 // one maintenance query per affected view is generated, and the whole batch
 // is optimized together — so similar subexpressions among the maintenance
-// expressions are detected and shared exactly like a user query batch.
+// expressions are detected and shared exactly like a user query batch. When
+// no view reads the table it returns right after the append.
 func (db *DB) InsertWithViewMaintenance(table string, rows []Row) (*MaintenanceResult, error) {
-	if err := db.Insert(table, rows); err != nil {
+	if err := db.appendRows(table, rows); err != nil {
 		return nil, err
 	}
 	out := &MaintenanceResult{}

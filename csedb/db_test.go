@@ -1,11 +1,12 @@
 package csedb_test
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/csedb"
 	"repro/internal/core"
+	"repro/internal/difftest"
+	"repro/internal/exec"
 	"repro/internal/sqltypes"
 )
 
@@ -56,57 +57,16 @@ func runBoth(t *testing.T, sql string) (*csedb.BatchResult, *csedb.BatchResult) 
 
 func compareResults(t *testing.T, off, on *csedb.BatchResult) {
 	t.Helper()
-	if len(off.Statements) != len(on.Statements) {
-		t.Fatalf("statement counts differ: %d vs %d", len(off.Statements), len(on.Statements))
-	}
-	for i := range off.Statements {
-		a := canonical(off.Statements[i].Rows)
-		b := canonical(on.Statements[i].Rows)
-		if len(a) != len(b) {
-			t.Errorf("statement %d: row counts differ: %d (no CSE) vs %d (CSE)", i+1, len(a), len(b))
-			continue
-		}
-		for j := range a {
-			if a[j] != b[j] {
-				t.Errorf("statement %d row %d differs:\n  no CSE: %s\n  CSE:    %s", i+1, j, a[j], b[j])
-				break
-			}
-		}
+	if d := difftest.Diff(difftest.Normalize(off.Statements), difftest.Normalize(on.Statements)); d != "" {
+		t.Errorf("CSE results differ from no-CSE (baseline) at %s", d)
 	}
 }
 
-func canonical(rows []sqltypes.Row) []string {
-	out := make([]string, len(rows))
-	for i, r := range rows {
-		out[i] = roundedString(r)
-	}
-	sortStrings(out)
-	return out
-}
-
-// roundedString formats a row with floats rounded so that different
-// float-summation orders (CSE vs direct plans) compare equal.
-func roundedString(r sqltypes.Row) string {
-	s := ""
-	for i, d := range r {
-		if i > 0 {
-			s += "\t"
-		}
-		if d.Kind() == sqltypes.KindFloat {
-			s += fmt.Sprintf("%.4f", d.Float())
-		} else {
-			s += d.String()
-		}
-	}
-	return s
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
+// rowsText is one statement's rows in difftest's canonical form: sorted,
+// with float cells that difftest.Diff compares at 1e-9 relative, so that
+// different float-summation orders (CSE vs direct plans) compare equal.
+func rowsText(rows []sqltypes.Row) string {
+	return difftest.Normalize([]*exec.StatementResult{{Rows: rows}})
 }
 
 const example1SQL = `
@@ -269,17 +229,8 @@ group by c_nationkey;
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := q.Statements[vi].Rows
-		a, b := canonical(got), canonical(want)
-		if len(a) != len(b) {
-			t.Errorf("view %s: %d rows, recomputation has %d", vname, len(a), len(b))
-			continue
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Errorf("view %s row %d: %s != %s", vname, i, a[i], b[i])
-				break
-			}
+		if d := difftest.Diff(rowsText(q.Statements[vi].Rows), rowsText(got)); d != "" {
+			t.Errorf("view %s differs from recomputation (baseline) at %s", vname, d)
 		}
 	}
 }

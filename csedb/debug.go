@@ -3,73 +3,17 @@ package csedb
 import (
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"net/http/pprof"
-	"time"
 
 	"repro/internal/obs"
 )
 
-// debugServer is the opt-in HTTP introspection endpoint: Prometheus metrics,
-// pprof, the flight recorder, result-cache contents, and a Chrome trace of
-// the last span-traced batch. It binds to the configured address (use
-// 127.0.0.1 unless you mean to expose it) and serves read-only views of the
-// db's observability state; it never mutates the database.
-type debugServer struct {
-	srv  *http.Server
-	ln   net.Listener
-	addr string
-}
-
-// StartDebugServer starts the debug HTTP server on addr (":0" picks a free
-// port) and returns the bound address. It fails when the server is already
-// running or the address cannot be listened on.
-func (db *DB) StartDebugServer(addr string) (string, error) {
-	db.debugMu.Lock()
-	defer db.debugMu.Unlock()
-	if db.debug != nil {
-		return "", fmt.Errorf("debug server already listening on %s", db.debug.addr)
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	srv := &http.Server{Handler: db.DebugHandler(), ReadHeaderTimeout: 5 * time.Second}
-	db.debug = &debugServer{srv: srv, ln: ln, addr: ln.Addr().String()}
-	go srv.Serve(ln) //nolint:errcheck // Serve returns ErrServerClosed on Stop
-	return db.debug.addr, nil
-}
-
-// StopDebugServer shuts the debug server down; a no-op when it is not
-// running.
-func (db *DB) StopDebugServer() error {
-	db.debugMu.Lock()
-	defer db.debugMu.Unlock()
-	if db.debug == nil {
-		return nil
-	}
-	err := db.debug.srv.Close()
-	// Close releases the listener only if Serve has begun; closing it here
-	// too frees the address for an immediate restart.
-	db.debug.ln.Close() //nolint:errcheck // already closed when Serve had begun
-	db.debug = nil
-	return err
-}
-
-// DebugAddr returns the debug server's bound address, or "" when it is not
-// running.
-func (db *DB) DebugAddr() string {
-	db.debugMu.Lock()
-	defer db.debugMu.Unlock()
-	if db.debug == nil {
-		return ""
-	}
-	return db.debug.addr
-}
-
-// DebugHandler returns the debug server's handler without binding a socket —
-// the CI smoke and tests scrape it in-process.
+// DebugHandler returns the read-only HTTP introspection routes over db:
+// Prometheus metrics, pprof, the flight recorder, result-cache contents, and
+// a Chrome trace of the last span-traced batch. It opens no socket; the
+// embedder serves it (cmd/csedb's -debug binds it, preferably on
+// 127.0.0.1), and it never mutates the database.
 func (db *DB) DebugHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", db.handleDebugIndex)

@@ -3,7 +3,6 @@ package csedb_test
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -127,25 +126,16 @@ func TestFlightRecorder(t *testing.T) {
 	}
 }
 
-// TestDebugServer: the opt-in HTTP server exposes metrics, the flight
-// recorder, cache contents, and a downloadable Chrome trace.
+// TestDebugServer: the debug handler, served over HTTP, exposes metrics,
+// the flight recorder, cache contents, and a downloadable Chrome trace.
 func TestDebugServer(t *testing.T) {
 	db := openTPCHOpts(t, csedb.Options{SpanTracing: true})
-	addr, err := db.StartDebugServer("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.StopDebugServer()
-	if db.DebugAddr() != addr {
-		t.Errorf("DebugAddr = %q, want %q", db.DebugAddr(), addr)
-	}
-	if _, err := db.StartDebugServer("127.0.0.1:0"); err == nil {
-		t.Error("second StartDebugServer must fail while running")
-	}
+	ts := httptest.NewServer(db.DebugHandler())
+	defer ts.Close()
 
 	get := func(path string) (int, string) {
 		t.Helper()
-		resp, err := http.Get(fmt.Sprintf("http://%s%s", addr, path))
+		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
 		}
@@ -232,7 +222,7 @@ func TestDebugServer(t *testing.T) {
 		t.Errorf("/cache = %+v, want enabled with entries after a CSE batch", cacheOut)
 	}
 
-	resp, err := http.Get(fmt.Sprintf("http://%s/trace/last", addr))
+	resp, err := http.Get(ts.URL + "/trace/last")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,21 +241,6 @@ func TestDebugServer(t *testing.T) {
 	if code, _ := get("/debug/pprof/cmdline"); code != http.StatusOK {
 		t.Errorf("/debug/pprof/cmdline = %d", code)
 	}
-
-	if err := db.StopDebugServer(); err != nil {
-		t.Fatal(err)
-	}
-	if db.DebugAddr() != "" {
-		t.Error("DebugAddr non-empty after Stop")
-	}
-	if err := db.StopDebugServer(); err != nil {
-		t.Error("second Stop must be a no-op:", err)
-	}
-	// The address is free again.
-	if _, err := db.StartDebugServer(addr); err != nil {
-		t.Errorf("restart on the freed address: %v", err)
-	}
-	db.StopDebugServer()
 }
 
 // TestDebugScrapeDuringBatches scrapes /cache, /metrics and /flightrecorder

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/csedb"
+	"repro/internal/difftest"
 	"repro/internal/qgen"
 )
 
@@ -44,17 +45,12 @@ func TestRandomWorkloadsCSEEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d no-heuristics: %v\n%s", round, err, sql)
 		}
-		for i := range off.Statements {
-			a := canonical(off.Statements[i].Rows)
-			b := canonical(on.Statements[i].Rows)
-			c := canonical(noH.Statements[i].Rows)
-			if !equalStrings(a, b) {
-				t.Fatalf("round %d stmt %d: CSE results differ\nbatch:\n%s\nno-CSE: %v\nCSE:    %v",
-					round, i+1, sql, a, b)
-			}
-			if !equalStrings(a, c) {
-				t.Fatalf("round %d stmt %d: no-heuristics results differ\nbatch:\n%s", round, i+1, sql)
-			}
+		base := difftest.Normalize(off.Statements)
+		if d := difftest.Diff(base, difftest.Normalize(on.Statements)); d != "" {
+			t.Fatalf("round %d: CSE results differ from no-CSE (baseline) at %s\nbatch:\n%s", round, d, sql)
+		}
+		if d := difftest.Diff(base, difftest.Normalize(noH.Statements)); d != "" {
+			t.Fatalf("round %d: no-heuristics results differ from no-CSE (baseline) at %s\nbatch:\n%s", round, d, sql)
 		}
 	}
 }
@@ -93,7 +89,7 @@ func TestChunkSizeSweepEquivalence(t *testing.T) {
 	}
 	db := openTPCH(t, withCSE())
 	sql := batchSQL(4242)
-	var base []string
+	var base string
 	for _, chunk := range []int{0, 1, 7, 1024} {
 		cdb := csedb.OpenOn(db.Catalog(), db.Store(), csedb.Options{CSE: withCSE(), ExecChunkSize: chunk})
 		if got := cdb.ExecChunkSize(); got != chunk {
@@ -103,28 +99,13 @@ func TestChunkSizeSweepEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("chunk %d: %v\n%s", chunk, err, sql)
 		}
-		var rows []string
-		for _, st := range res.Statements {
-			rows = append(rows, canonical(st.Rows)...)
-		}
-		if base == nil {
-			base = rows
+		text := difftest.Normalize(res.Statements)
+		if base == "" {
+			base = text
 			continue
 		}
-		if !equalStrings(base, rows) {
-			t.Fatalf("chunk %d results differ from default chunking\n%s", chunk, sql)
+		if d := difftest.Diff(base, text); d != "" {
+			t.Fatalf("chunk %d results differ from default chunking (baseline) at %s\n%s", chunk, d, sql)
 		}
 	}
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -1,6 +1,10 @@
 package csedb_test
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/difftest"
+)
 
 // TestRegressionNoHeuristicsManyCandidates pins an optimizer bug found by
 // the qgen-driven property tests: with heuristics disabled this 5-table
@@ -56,11 +60,7 @@ order by a0;`
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range want.Statements {
-		a := canonical(want.Statements[i].Rows)
-		b := canonical(got.Statements[i].Rows)
-		if !equalStrings(a, b) {
-			t.Fatalf("statement %d: no-heuristics results differ from baseline", i+1)
-		}
+	if d := difftest.Diff(difftest.Normalize(want.Statements), difftest.Normalize(got.Statements)); d != "" {
+		t.Fatalf("no-heuristics results differ from baseline at %s", d)
 	}
 }

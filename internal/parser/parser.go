@@ -12,6 +12,29 @@ func Parse(src string) ([]Statement, error) {
 	if err != nil {
 		return nil, err
 	}
+	return parseTokens(src, toks)
+}
+
+// ParseShaped parses src like Parse and also returns its shape, rendered
+// from the same tokens: the key under which the server pools the plans of
+// one query shape. Tokens are one space apart, keywords are lower-cased as
+// the lexer emits them, string literals are re-quoted with each inner quote
+// doubled so no literal can spell another token sequence, and trailing
+// semicolons are dropped; whitespace and comments vanish. Two sources share
+// a shape exactly when they lex to the same tokens.
+func ParseShaped(src string) ([]Statement, string, error) {
+	toks, err := lex(src)
+	if err != nil {
+		return nil, "", err
+	}
+	stmts, err := parseTokens(src, toks)
+	if err != nil {
+		return nil, "", err
+	}
+	return stmts, shape(src, toks), nil
+}
+
+func parseTokens(src string, toks []token) ([]Statement, error) {
 	p := &parser{toks: toks, src: src}
 	var out []Statement
 	for {

@@ -32,18 +32,8 @@ func SplitStatements(src string) ([]string, error) {
 	return out, nil
 }
 
-// Shape renders src as its token sequence: the key under which the server
-// pools the plans of one query shape. Tokens are one space apart, keywords
-// are lower-cased as the lexer emits them, string literals are re-quoted
-// with each inner quote doubled so no literal can spell another token
-// sequence, and trailing semicolons are dropped; whitespace and comments
-// vanish. Two sources share a shape exactly when they lex to the same
-// tokens.
-func Shape(src string) (string, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return "", err
-	}
+// shape renders src's tokens, as ParseShaped documents.
+func shape(src string, toks []token) string {
 	toks = toks[:len(toks)-1] // EOF
 	for len(toks) > 0 && toks[len(toks)-1].kind == tokSymbol && toks[len(toks)-1].text == ";" {
 		toks = toks[:len(toks)-1]
@@ -62,5 +52,5 @@ func Shape(src string) (string, error) {
 		}
 		b.WriteString(t.text)
 	}
-	return b.String(), nil
+	return b.String()
 }

@@ -16,67 +16,22 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"net"
 	"net/http"
-	"sync"
-	"time"
 
 	"repro/internal/exec"
 	"repro/internal/sqltypes"
 )
 
-// HTTPServer serves the Server over HTTP/JSON.
-type HTTPServer struct {
-	srv  *Server
-	http *http.Server
-
-	mu   sync.Mutex
-	addr string
-}
-
-// NewHTTPServer wraps srv with the HTTP transport; call Start to listen.
-func NewHTTPServer(srv *Server) *HTTPServer {
-	h := &HTTPServer{srv: srv}
+// Handler returns the HTTP/JSON routes over s. It opens no socket: the
+// embedder serves it on a listener of its own (cmd/csedb's -serve) and, on
+// shutdown, stops that listener before it calls Close.
+func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/session", h.handleNewSession)
-	mux.HandleFunc("DELETE /v1/session/{id}", h.handleCloseSession)
-	mux.HandleFunc("POST /v1/query", h.handleQuery)
-	mux.HandleFunc("GET /v1/stats", h.handleStats)
-	h.http = &http.Server{Handler: mux}
-	return h
-}
-
-// Handler exposes the route mux (httptest and embedding).
-func (h *HTTPServer) Handler() http.Handler { return h.http.Handler }
-
-// Start listens on addr (":0" picks a free port) and serves in the
-// background. It returns the bound address.
-func (h *HTTPServer) Start(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	h.mu.Lock()
-	h.addr = ln.Addr().String()
-	h.mu.Unlock()
-	go func() { _ = h.http.Serve(ln) }()
-	return ln.Addr().String(), nil
-}
-
-// Addr returns the bound address; empty before Start.
-func (h *HTTPServer) Addr() string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.addr
-}
-
-// Close stops the listener (in-flight handlers get a grace period) and then
-// drains the coalescing server.
-func (h *HTTPServer) Close() error {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	_ = h.http.Shutdown(ctx)
-	return h.srv.Close()
+	mux.HandleFunc("POST /v1/session", s.handleNewSession)
+	mux.HandleFunc("DELETE /v1/session/{id}", s.handleCloseSession)
+	mux.HandleFunc("POST /v1/query", s.handleQuery)
+	mux.HandleFunc("GET /v1/stats", s.handleStats)
+	return mux
 }
 
 type errorBody struct {
@@ -124,8 +79,8 @@ func writeJSON(w http.ResponseWriter, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func (h *HTTPServer) handleNewSession(w http.ResponseWriter, r *http.Request) {
-	sess, err := h.srv.NewSession()
+func (s *Server) handleNewSession(w http.ResponseWriter, r *http.Request) {
+	sess, err := s.NewSession()
 	if err != nil {
 		writeServerError(w, err)
 		return
@@ -133,8 +88,8 @@ func (h *HTTPServer) handleNewSession(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]string{"session": sess.ID()})
 }
 
-func (h *HTTPServer) handleCloseSession(w http.ResponseWriter, r *http.Request) {
-	sess := h.srv.Session(r.PathValue("id"))
+func (s *Server) handleCloseSession(w http.ResponseWriter, r *http.Request) {
+	sess := s.Session(r.PathValue("id"))
 	if sess == nil {
 		writeError(w, http.StatusNotFound, "unknown_session", "no such session", false)
 		return
@@ -165,13 +120,13 @@ type queryResponse struct {
 // handleQuery submits the query under the HTTP request's context, so a
 // client disconnect cancels exactly that client's delivery (the coalesced
 // batch keeps running for everyone else — see Session.Query).
-func (h *HTTPServer) handleQuery(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var q queryRequest
 	if err := json.NewDecoder(r.Body).Decode(&q); err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", "invalid JSON body: "+err.Error(), false)
 		return
 	}
-	sess := h.srv.Session(q.Session)
+	sess := s.Session(q.Session)
 	if sess == nil {
 		writeError(w, http.StatusNotFound, "unknown_session", "no such session", false)
 		return
@@ -226,6 +181,6 @@ func encodeDatum(d sqltypes.Datum) any {
 	}
 }
 
-func (h *HTTPServer) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, h.srv.Stats())
+func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, s.Stats())
 }

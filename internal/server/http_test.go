@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -32,8 +31,7 @@ func postJSON(t *testing.T, ts *httptest.Server, path string, body any) (*http.R
 
 func TestHTTPRoundTrip(t *testing.T) {
 	s, _ := newTestServer(t, Options{Window: time.Millisecond})
-	h := NewHTTPServer(s)
-	ts := httptest.NewServer(h.Handler())
+	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
 	// Create a session.
@@ -114,29 +112,38 @@ func TestHTTPRoundTrip(t *testing.T) {
 	}
 }
 
-func TestHTTPStartClose(t *testing.T) {
+// TestHTTPAfterClose: once the server has drained, its routes answer with
+// the typed retryable shutdown error, 503, and the session the client held
+// is still known, so its query reaches admission and is refused there.
+func TestHTTPAfterClose(t *testing.T) {
 	s, _ := newTestServer(t, Options{Window: time.Millisecond})
-	h := NewHTTPServer(s)
-	addr, err := h.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Addr() != addr {
-		t.Errorf("Addr() = %q, want %q", h.Addr(), addr)
-	}
-	resp, err := http.Post(fmt.Sprintf("http://%s/v1/session", addr), "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, body := postJSON(t, ts, "/v1/session", nil)
 	if resp.StatusCode != http.StatusOK {
-		t.Errorf("session create over real listener: %d", resp.StatusCode)
+		t.Fatalf("session create: %d %s", resp.StatusCode, body)
 	}
-	if err := h.Close(); err != nil {
+	var sess map[string]string
+	if err := json.Unmarshal(body, &sess); err != nil {
 		t.Fatal(err)
 	}
-	// The coalescing server is drained: direct queries now refuse.
-	if _, err := s.NewSession(); err == nil {
-		t.Error("NewSession succeeded after Close")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/session", nil},
+		{"/v1/query", queryRequest{Session: sess["session"], SQL: "select n_name from nation"}},
+	} {
+		resp, body := postJSON(t, ts, c.path, c.body)
+		var eb errorBody
+		if err := json.Unmarshal(body, &eb); err != nil {
+			t.Fatalf("POST %s after Close: %d %s", c.path, resp.StatusCode, body)
+		}
+		if resp.StatusCode != http.StatusServiceUnavailable || eb.Error.Code != "shutting_down" || !eb.Error.Retryable {
+			t.Errorf("POST %s after Close: %d %s, want 503 shutting_down retryable", c.path, resp.StatusCode, body)
+		}
 	}
 }

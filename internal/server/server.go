@@ -144,8 +144,9 @@ type Server struct {
 	closed   bool
 	sessions map[string]*Session
 	sessSeq  int
-	pending  []*request // the open window
-	window   uint64     // generation of the open window; every flush opens the next
+	pending  []*request  // the open window
+	window   uint64      // generation of the open window; every flush opens the next
+	timer    *time.Timer // the open window's time trigger, once armed; flushLocked stops it
 	inflight int
 
 	execWG sync.WaitGroup
@@ -264,11 +265,7 @@ func (sess *Session) Query(ctx context.Context, sql string) (*Result, error) {
 		return nil, ErrSessionClosed
 	}
 
-	shape, err := parser.Shape(sql)
-	var stmts []parser.Statement
-	if err == nil {
-		stmts, err = parser.Parse(sql)
-	}
+	stmts, shape, err := parser.ParseShaped(sql)
 	if err != nil {
 		s.metrics.Counter("server_requests_total").Inc()
 		s.metrics.Counter("server_requests_failed_total").Inc()
@@ -301,7 +298,7 @@ func (sess *Session) Query(ctx context.Context, sql string) (*Result, error) {
 		s.flushLocked()
 	case len(s.pending) == 1:
 		window := s.window
-		s.afterFunc(s.opts.Window, func() { s.flushWindow(window) })
+		s.timer = s.afterFunc(s.opts.Window, func() { s.flushWindow(window) })
 	}
 	s.mu.Unlock()
 
@@ -335,8 +332,9 @@ func (s *Server) finish(r *request, resp response) {
 }
 
 // flushWindow is a window's time trigger. A count trigger or Close may have
-// flushed that window already; then its generation is stale and the timer
-// does nothing, so it never cuts short the window open now.
+// flushed that window already, after its timer had fired but before this
+// ran; then its generation is stale and it does nothing, so it never cuts
+// short the window open now.
 func (s *Server) flushWindow(window uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -346,14 +344,19 @@ func (s *Server) flushWindow(window uint64) {
 }
 
 // flushLocked hands the open window's requests, if any, to one batch
-// goroutine and opens the next window. The caller holds s.mu, so the batch
-// is registered with execWG before Close can wait on it.
+// goroutine, stops the window's timer and opens the next window. The caller
+// holds s.mu, so the batch is registered with execWG before Close can wait
+// on it.
 func (s *Server) flushLocked() {
 	if len(s.pending) == 0 {
 		return
 	}
 	batch := s.pending
 	s.pending = nil
+	if s.timer != nil { // nil when MaxBatch 1 flushed at the first enqueue
+		s.timer.Stop()
+		s.timer = nil
+	}
 	s.window++
 	s.execWG.Add(1)
 	go func() {
@@ -510,7 +513,7 @@ func (s *Server) Stats() map[string]float64 { return s.metrics.Snapshot() }
 // batchKey combines a batch's per-request shapes into one plan-cache key.
 // Each shape is length-prefixed so the combined key is unambiguous even
 // when a shape itself contains any would-be separator byte (a NUL inside a
-// string literal survives parser.Shape verbatim): ["ab","c"] and ["a","bc"]
+// string literal survives in its shape verbatim): ["ab","c"] and ["a","bc"]
 // and ["ab\x00c"] all key differently.
 func batchKey(shapes []string) string {
 	var b strings.Builder

@@ -56,14 +56,35 @@ where c_custkey = o_custkey and o_orderkey = l_orderkey
 group by c_nationkey`
 
 // datumText renders a datum for comparison, rounding floats to 4 decimal
-// places exactly like difftest.Normalize: a CSE-shared plan may sum floats
-// in a different order than the direct plan, which is a last-ulp
-// difference, not a correctness bug.
+// places: a CSE-shared plan may sum floats in a different order than the
+// direct plan, which is a last-ulp difference, not a correctness bug.
+// difftest.Normalize, by contrast, writes floats exactly and leaves the
+// tolerance to difftest.Diff, which compares them at 1e-9 relative.
 func datumText(d sqltypes.Datum) string {
 	if d.Kind() == sqltypes.KindFloat {
 		return fmt.Sprintf("%.4f", d.Float())
 	}
 	return d.String()
+}
+
+// waitUntil polls cond under s.mu until it holds: a request reaches the
+// window on its client's goroutine. It fails the test with what when cond
+// does not hold within two seconds.
+func waitUntil(t *testing.T, s *Server, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		s.mu.Lock()
+		ok := cond()
+		s.mu.Unlock()
+		if ok {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal(what)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 func sameResults(a, b []*exec.StatementResult) error {
@@ -201,6 +222,49 @@ func TestStaleTimerDoesNotFlushNextWindow(t *testing.T) {
 	}
 }
 
+// TestFlushStopsWindowTimer: a window that its count trigger or Close
+// flushes stops its timer. Left armed, the timer would hold the server and
+// its DB until the full window had passed.
+func TestFlushStopsWindowTimer(t *testing.T) {
+	s, _ := newTestServer(t, Options{Window: time.Hour, MaxBatch: 2})
+	armed := make(chan *time.Timer, 2)
+	s.afterFunc = func(d time.Duration, f func()) *time.Timer {
+		tm := time.AfterFunc(d, f)
+		armed <- tm
+		return tm
+	}
+	sess := mustSession(t, s)
+
+	var wg sync.WaitGroup
+	for _, q := range []string{q1, q2} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := sess.Query(context.Background(), q); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if (<-armed).Stop() {
+		t.Error("the count trigger flushed the window and left its timer armed")
+	}
+
+	parked := make(chan error, 1)
+	go func() {
+		_, err := sess.Query(context.Background(), q1)
+		parked <- err
+	}()
+	tm := <-armed // the request is in the window
+	s.Close()
+	if err := <-parked; err != nil {
+		t.Fatal(err)
+	}
+	if tm.Stop() {
+		t.Error("Close flushed the window and left its timer armed")
+	}
+}
+
 // TestWindowOverflow pins the count trigger: 9 requests against MaxBatch 4
 // and a long window must form batches of exactly 4, 4, and 1 — the count
 // trigger fires early, and the remainder re-windows rather than joining an
@@ -251,20 +315,7 @@ func TestAdmissionRejection(t *testing.T) {
 		_, err := sess.Query(context.Background(), q1)
 		parked <- err
 	}()
-	// Wait until the first request occupies the admission slot.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		s.mu.Lock()
-		n := s.inflight
-		s.mu.Unlock()
-		if n == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("first request never became inflight")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitUntil(t, s, "first request never became inflight", func() bool { return s.inflight == 1 })
 
 	_, err := sess.Query(context.Background(), q2)
 	var se *Error
@@ -299,19 +350,7 @@ func TestDrainOnClose(t *testing.T) {
 		_, err := sess.Query(context.Background(), q1)
 		parked <- err
 	}()
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		s.mu.Lock()
-		n := len(s.pending)
-		s.mu.Unlock()
-		if n == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("request never reached the window")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitUntil(t, s, "request never reached the window", func() bool { return len(s.pending) == 1 })
 
 	done := make(chan struct{})
 	go func() { s.Close(); close(done) }()
@@ -505,19 +544,7 @@ func TestCanceledClientSpoolReuse(t *testing.T) {
 	}()
 	// Wait for A to reach the window, then enqueue B and cancel A while both
 	// are parked.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		s.mu.Lock()
-		n := len(s.pending)
-		s.mu.Unlock()
-		if n == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("client A never reached the window")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitUntil(t, s, "client A never reached the window", func() bool { return len(s.pending) == 1 })
 
 	resB := make(chan *Result, 1)
 	errB := make(chan error, 1)
@@ -526,18 +553,7 @@ func TestCanceledClientSpoolReuse(t *testing.T) {
 		resB <- r
 		errB <- err
 	}()
-	for {
-		s.mu.Lock()
-		n := len(s.pending)
-		s.mu.Unlock()
-		if n == 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("client B never reached the window")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitUntil(t, s, "client B never reached the window", func() bool { return len(s.pending) == 2 })
 	cancelA()
 	if err := <-errA; !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled client got %v, want context.Canceled", err)
@@ -570,7 +586,7 @@ func TestCanceledClientSpoolReuse(t *testing.T) {
 }
 
 // TestBatchKeyUnambiguous pins the length-prefixed combined key: shapes may
-// contain any byte (a NUL inside a literal survives parser.Shape verbatim), so
+// contain any byte (a NUL inside a literal survives in its shape verbatim), so
 // no join separator is safe — only framing is.
 func TestBatchKeyUnambiguous(t *testing.T) {
 	keys := map[string]string{
@@ -607,19 +623,7 @@ func TestCanceledRequestHoldsAdmissionSlot(t *testing.T) {
 		_, err := sess.Query(ctx, q1)
 		done <- err
 	}()
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		s.mu.Lock()
-		n := s.inflight
-		s.mu.Unlock()
-		if n == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("request never became inflight")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitUntil(t, s, "request never became inflight", func() bool { return s.inflight == 1 })
 	cancel()
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled Query returned %v, want context.Canceled", err)
